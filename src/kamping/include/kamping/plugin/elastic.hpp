@@ -24,6 +24,7 @@
 
 #include "kamping/error.hpp"
 #include "kamping/pipeline.hpp"
+#include "kamping/plugin/agreed_retry.hpp"
 #include "kamping/plugin/plugin_helpers.hpp"
 #include "xmpi/api.hpp"
 
@@ -64,40 +65,35 @@ public:
 
     /// @brief Runs @c body(comm) on the current membership and re-runs it
     /// whenever the membership changes underneath it — the elastic
-    /// generalization of shrink_and_retry. Before each attempt the loop
-    /// resyncs if a change is already pending; an attempt aborted by a
-    /// recoverable error (stale epoch, revocation, process failure — the
-    /// three faces of a membership transition) triggers a resync and a
-    /// retry on the fresh epoch's communicator. @c body observes changes
-    /// through the communicator it receives (rank/size/epoch).
+    /// generalization of shrink_and_retry, over the same agreed-outcome loop
+    /// (agreed_retry.hpp). An attempt counts as failed when it is aborted
+    /// by a recoverable error (stale epoch, revocation, process failure —
+    /// the three faces of a membership transition) or when a change is
+    /// pending once it returns; the members agree on the outcome, and if
+    /// the attempt failed anywhere they all resync and retry on the fresh
+    /// epoch's communicator. @c body observes changes through the
+    /// communicator it receives (rank/size/epoch).
     ///
     /// @param body        Callable taking `Comm&`; its return value is
-    ///                    forwarded on success.
+    ///                    forwarded (by value) on success.
     /// @param max_resyncs Bound on attempts; defaults (-1) to three times
     ///                    the world capacity + 1 (every slot can join, leave
     ///                    or fail at most once, so that bounds the epochs a
     ///                    single body run can possibly ride through). Throws
     ///                    MpiError(XMPI_ERR_OTHER) when exhausted.
     template <typename Body>
-    decltype(auto) with_elastic(Body&& body, int max_resyncs = -1) {
+    auto with_elastic(Body&& body, int max_resyncs = -1) {
         int const capacity = this->self().mpi_communicator()->world().capacity();
         int const attempts = max_resyncs > 0 ? max_resyncs : 3 * capacity + 1;
-        for (int attempt = 0; attempt < attempts; ++attempt) {
-            if (membership_changed()) {
-                sync_membership();
-            }
-            try {
-                return body(this->self());
-            } catch (MpiEpochStale const&) {
-                // Superseded epoch: resync below and retry.
-            } catch (MpiCommRevoked const&) {
-                // A join/leave revoked the epoch mid-operation.
-            } catch (MpiFailureDetected const&) {
-                // A member died; the transition excludes it.
-            }
-            sync_membership();
-        }
-        throw MpiError(XMPI_ERR_OTHER, "with_elastic: membership resyncs exhausted");
+        return detail::agreed_retry(
+            this->self(), body, attempts,
+            [](MpiError const& error) {
+                return error.error_code() == XMPI_ERR_EPOCH
+                       || error.error_code() == XMPI_ERR_REVOKED
+                       || error.error_code() == XMPI_ERR_PROC_FAILED;
+            },
+            [&] { return membership_changed(); }, [&] { sync_membership(); },
+            "with_elastic: membership resyncs exhausted");
     }
 };
 

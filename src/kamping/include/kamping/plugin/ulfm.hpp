@@ -18,6 +18,7 @@
 
 #include "kamping/error.hpp"
 #include "kamping/pipeline.hpp"
+#include "kamping/plugin/agreed_retry.hpp"
 #include "kamping/plugin/plugin_helpers.hpp"
 #include "xmpi/api.hpp"
 
@@ -75,31 +76,31 @@ public:
     }
 
     /// @brief Runs @c body(comm) and, whenever it fails with a recoverable
-    /// ULFM error (process failure or revoked communicator), performs
-    /// revoke_and_shrink() and re-runs it on the survivor communicator —
-    /// the whole of the paper's Fig. 12 recovery loop in one call. Works for
-    /// rooted and non-rooted collectives alike: @c body receives the current
+    /// ULFM error (process failure or revoked communicator) on any surviving
+    /// member, performs revoke_and_shrink() and re-runs it on the survivor
+    /// communicator — the whole of the paper's Fig. 12 recovery loop in one
+    /// call. The members agree on each attempt's outcome before returning
+    /// (see agreed_retry.hpp), so either every survivor returns the same
+    /// attempt's result or every survivor recovers. Works for rooted and
+    /// non-rooted collectives alike: @c body receives the current
     /// communicator, so it can re-derive roots from the shrunken size/rank.
     ///
     /// @param body        Callable taking `Comm&`; its return value is
-    ///                    forwarded on success.
+    ///                    forwarded (by value) on success.
     /// @param max_attempts Bound on total attempts; defaults (-1) to
     ///                    initial size + 1, enough for every member failing
     ///                    one by one. Throws MpiError(XMPI_ERR_OTHER) when
     ///                    exhausted. Non-recoverable errors propagate as-is.
     template <typename Body>
-    decltype(auto) shrink_and_retry(Body&& body, int max_attempts = -1) {
+    auto shrink_and_retry(Body&& body, int max_attempts = -1) {
         int const attempts = max_attempts > 0 ? max_attempts : this->self().size() + 1;
-        for (int attempt = 0; attempt < attempts; ++attempt) {
-            try {
-                return body(this->self());
-            } catch (MpiFailureDetected const&) {
-                recover();
-            } catch (MpiCommRevoked const&) {
-                recover();
-            }
-        }
-        throw MpiError(XMPI_ERR_OTHER, "shrink_and_retry: attempts exhausted");
+        return detail::agreed_retry(
+            this->self(), body, attempts,
+            [](MpiError const& error) {
+                return error.error_code() == XMPI_ERR_PROC_FAILED
+                       || error.error_code() == XMPI_ERR_REVOKED;
+            },
+            [] { return false; }, [&] { recover(); }, "shrink_and_retry: attempts exhausted");
     }
 
 private:

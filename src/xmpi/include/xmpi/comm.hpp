@@ -3,7 +3,6 @@
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -65,7 +64,6 @@ namespace detail {
 /// rank enters them in order.
 struct IbarrierSync {
     std::mutex mutex;
-    std::condition_variable cv;
     std::vector<std::uint64_t> next_round_of_rank; ///< per comm rank
     std::map<std::uint64_t, int> arrivals;         ///< round -> #arrived
     std::uint64_t completed_rounds = 0;            ///< rounds [0, this) done
@@ -81,7 +79,6 @@ struct IbarrierSync {
 /// a dead rank's arrival or consumption.
 struct FtSync {
     std::mutex mutex;
-    std::condition_variable cv;
     std::vector<int> arrived_ranks; ///< world ranks that entered the open round
     std::vector<int> pending_ranks; ///< world ranks yet to pick up the result
     void* result = nullptr;         ///< round result (e.g. the shrunken communicator)
@@ -159,8 +156,12 @@ public:
     void mark_revoked() { revoked_.store(true, std::memory_order_release); }
     /// @brief True iff any member rank has failed.
     [[nodiscard]] bool any_member_failed() const;
-    /// @brief World ranks of surviving members, in comm rank order.
+    /// @brief World ranks of the members that have not departed (see
+    /// World::departed), in comm rank order.
     [[nodiscard]] std::vector<int> surviving_members() const;
+    /// @brief Notifies every member's eventcount (round progress of the
+    /// ibarrier / ft / window-lock state this communicator shares).
+    void notify_members() const;
     /// @}
 
     /// @name Membership-epoch state (elastic worlds, see elastic.hpp)

@@ -127,7 +127,6 @@ struct RankCounters {
     std::atomic<std::uint64_t> engine_queue_depth_max{0};  ///< deepest queue observed at enqueue
     std::atomic<std::uint64_t> engine_caller_steals{0};    ///< tasks run by waiting/polling callers
     std::atomic<std::uint64_t> engine_incomplete_destructions{0}; ///< requests freed before completion
-    std::atomic<std::uint64_t> engine_stall_escalations{0}; ///< temporary workers grown by the stall valve
     /// @}
     /// @name One-sided (RMA) counters (see win.hpp)
     /// @{
@@ -171,7 +170,6 @@ struct RankCounters {
         engine_queue_depth_max.store(0, std::memory_order_relaxed);
         engine_caller_steals.store(0, std::memory_order_relaxed);
         engine_incomplete_destructions.store(0, std::memory_order_relaxed);
-        engine_stall_escalations.store(0, std::memory_order_relaxed);
         rma_puts.store(0, std::memory_order_relaxed);
         rma_gets.store(0, std::memory_order_relaxed);
         rma_accumulates.store(0, std::memory_order_relaxed);
@@ -206,6 +204,9 @@ struct Snapshot {
     std::uint64_t engine_queue_depth_max = 0;
     std::uint64_t engine_caller_steals = 0;
     std::uint64_t engine_incomplete_destructions = 0;
+    /// Always 0: the progress engine grows no temporary workers (a blocked
+    /// rank runs the queued task a peer's executing task waits on before it
+    /// parks, see progress.hpp). Kept because existing readers consume it.
     std::uint64_t engine_stall_escalations = 0;
     std::uint64_t rma_puts = 0;
     std::uint64_t rma_gets = 0;

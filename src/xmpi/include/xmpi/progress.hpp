@@ -14,23 +14,29 @@
 ///    `engine_inline_fallbacks`),
 ///  - `wait()` on a still-queued task claims and runs it on the calling
 ///    rank's thread, so completion never depends on pool capacity,
-///  - while its own task runs elsewhere, a waiting rank drains its *own*
-///    queued tasks, oldest first (caller-driven progress). Only own tasks
-///    are eligible: they are work the rank must complete anyway, and
-///    initiation order is consistent across ranks, so this keeps peers
+///  - while its own task runs elsewhere, a rank waiting on it drains its
+///    *own* queued tasks, oldest first (caller-driven progress). Only own
+///    tasks are eligible: they are work the rank must complete anyway, and
+///    MPI requires non-blocking collectives to be initiated in the same
+///    order on every rank, so draining in initiation order keeps peers
 ///    supplied with the contributions they block on. Running another
 ///    rank's collective could block the caller on contributions that are
 ///    themselves still queued,
+///  - before a rank thread parks in any other blocking wait (wait_until,
+///    wait.hpp), it checks whether another rank's task is executing on the
+///    communicator of one of its rank's queued tasks — that task may be
+///    blocked on exactly this contribution. If so, it runs its rank's
+///    queued tasks oldest first up to and including that one (initiation
+///    order may differ between communicators, so the awaited task can sit
+///    behind one nobody waits on yet). Starting a task notifies the
+///    communicator's members, so this check is wake-driven too. A thread
+///    already executing a task starts no other (the outer task would then
+///    wait on the inner one, whose peers may in turn wait on the outer),
 ///  - `test()` only runs the polled task inline when the pool is saturated,
 ///    so a freshly initiated operation keeps its asynchrony while a
 ///    test()-polling loop still guarantees progress,
-///  - the stall valve: when queued tasks exist, no worker is idle, and a
-///    waiter makes no progress for ~10ms, the pool grows by one temporary
-///    worker (counted as `engine_stall_escalations`, reaped once the queue
-///    drains). Blocked executors therefore never wedge the queue: in the
-///    worst case the engine converges to one thread per blocked task — the
-///    old thread-per-request cost, paid only when those threads are needed
-///    for correctness — while the common aligned case stays at O(pool).
+///  - a finishing task notifies its initiating rank's eventcount, where
+///    every waiter on it parks.
 ///
 /// Failure interplay: revoking a communicator fails its queued-but-unstarted
 /// tasks with XMPI_ERR_REVOKED (ulfm.cpp calls the sweep); killing a rank
@@ -79,8 +85,9 @@ void configure(Config config);
 [[nodiscard]] unsigned default_thread_count();
 
 /// @brief Caller-driven progress: runs at most one of the calling rank's
-/// own queued tasks inline (oldest first). Returns true iff a task was
-/// run. Used by request pools to drain the engine while polling.
+/// own queued tasks inline (oldest first), unless the calling thread is
+/// itself executing a task. Returns true iff a task was run. Used by
+/// wait_until and by request pools to drain the engine while polling.
 bool poll();
 
 /// @brief Stops and joins the worker pool (running tasks finish first).
@@ -103,6 +110,13 @@ Request* submit(char const* op, Comm* comm, std::function<int()> body);
 /// that initiated the partitioned operation.
 Request* submit_as(
     char const* op, Comm* comm, xmpi::detail::RankContext ctx, std::function<int()> body);
+
+/// @brief As poll(), but runs the calling rank's oldest queued task only if
+/// another rank's task is executing on the communicator of one of the
+/// rank's queued tasks (and so may be blocked on it); repeated calls run
+/// the queued tasks up to and including that one. Every blocking wait calls
+/// it before parking (wait_until).
+bool poll_awaited();
 
 /// @brief Completes every queued-but-unstarted task on @c comm with
 /// @c error (revocation sweep).

@@ -27,7 +27,6 @@
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -37,6 +36,7 @@
 
 #include "xmpi/pool.hpp"
 #include "xmpi/status.hpp"
+#include "xmpi/wait.hpp"
 
 namespace xmpi {
 class World;
@@ -82,19 +82,15 @@ struct EnvelopeHash {
 };
 
 /// @brief Completion handle for synchronous-mode sends: set when the message
-/// has been matched by a receive.
+/// has been matched by a receive (or dropped as stale), which notifies the
+/// sending rank.
 struct SyncHandle {
-    std::mutex mutex;
-    std::condition_variable cv;
-    bool matched = false;
+    explicit SyncHandle(RankContext sender) : sender(sender) {}
 
-    void signal() {
-        {
-            std::lock_guard lock(mutex);
-            matched = true;
-        }
-        cv.notify_all();
-    }
+    RankContext sender;
+    std::atomic<bool> matched{false};
+
+    void signal();
 };
 
 /// @brief CPU-relax hint for spin loops.
@@ -182,7 +178,7 @@ struct RendezvousState {
     std::byte const* src_data = nullptr; ///< sender's contiguous payload
     std::size_t size = 0;
     std::vector<std::byte> fallback; ///< eager fallback copy (sender-filled)
-    class Mailbox* sender_box = nullptr; ///< woken when the claim completes
+    Eventcount* sender_events = nullptr; ///< notified when the claim completes
 
     /// @brief Spin-waits (with yields, for oversubscribed cores) until the
     /// phase leaves @c from. Used by the receiver while the sender finishes

@@ -27,12 +27,12 @@ inline constexpr long kDefaultRendezvousFallbackUs = 200;
 /// while no World is running (tests) — the environment override is the
 /// supported production mechanism.
 struct Transport {
-    /// Iterations a receive (or rendezvous wait) spins on its completion
-    /// flag before blocking on the mailbox. Env: XMPI_SPIN_BUDGET.
+    /// Checks the spin rung of wait_until (wait.hpp) makes, a CPU pause
+    /// between each, before it yields. Env: XMPI_SPIN_BUDGET.
     int spin_before_block = kDefaultSpinBeforeBlock;
 
-    /// After spinning, iterations spent polling with sched-yield in between
-    /// before parking on the condition variable. On an oversubscribed (or
+    /// After spinning, checks made with sched-yield in between before the
+    /// wait parks on the rank's eventcount. On an oversubscribed (or
     /// single-core) machine a yield hands the CPU straight to the peer we
     /// are waiting on, where a futex sleep/wake round trip would cost
     /// microseconds. Env: XMPI_YIELD_BUDGET.
@@ -64,13 +64,13 @@ struct Transport {
 /// @brief The process-wide transport knobs, environment-seeded on first use.
 [[nodiscard]] Transport& transport();
 
-/// @brief Effective spin budget for spin-then-block waits: 0 when the
+/// @brief Effective spin budget of wait_until's spin rung: 0 when the
 /// machine has a single hardware thread (spinning only steals cycles from
 /// the thread we are waiting on), else @c transport().spin_before_block.
 /// An explicit XMPI_SPIN_BUDGET wins even on one hardware thread.
 [[nodiscard]] int spin_budget();
 
-/// @brief Yield budget for the middle rung of the spin-yield-block ladder.
+/// @brief Yield budget for the middle rung of the spin → yield → park ladder.
 /// Unlike spin_budget() this does NOT collapse on a single hardware thread:
 /// a yield is exactly how the waited-on peer gets the core there.
 [[nodiscard]] int yield_budget();

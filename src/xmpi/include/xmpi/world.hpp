@@ -34,8 +34,6 @@ namespace detail {
 struct ElasticState;
 }
 
-class Win;
-
 class World {
 public:
     /// @brief Creates a world of @c size ranks. Threads are attached via
@@ -66,6 +64,11 @@ public:
     void set_network_model(NetworkModel model) { model_ = model; }
 
     [[nodiscard]] detail::Mailbox& mailbox(int world_rank) { return *mailboxes_[world_rank]; }
+    /// @brief The eventcount every blocking call of @c world_rank parks on
+    /// (see wait.hpp). Allocated for every slot up to capacity().
+    [[nodiscard]] detail::Eventcount& events(int world_rank) {
+        return events_[static_cast<std::size_t>(world_rank)];
+    }
     [[nodiscard]] profile::RankCounters& counters(int world_rank) {
         return *counters_[world_rank];
     }
@@ -91,7 +94,8 @@ public:
     /// @brief Marks a rank failed without unwinding (used when a rank thread
     /// exits via an exception).
     void mark_failed(int world_rank);
-    /// @brief Wakes all threads blocked in any mailbox or sync structure.
+    /// @brief Notifies the eventcount of every rank slot: failure,
+    /// revocation and elastic round progress can end any rank's wait.
     void wake_all();
     /// @}
 
@@ -147,6 +151,11 @@ public:
     /// leave, or failure) that epoch_sync has not yet resolved. Cheap
     /// (atomic hint); epoch_sync recomputes the truth.
     [[nodiscard]] bool membership_pending() const;
+    /// @brief True iff @c world_rank takes no further part in rounds on its
+    /// current communicators: it failed, or (elastic worlds) it announced
+    /// its leave or waits at the membership-transition rendezvous, which it
+    /// leaves only with the next epoch's communicator.
+    [[nodiscard]] bool departed(int world_rank) const;
     /// @brief Cause of the most recent transition ("grow", "shrink",
     /// "failure", a "+"-combination, or "revoked"); "" before the first.
     [[nodiscard]] char const* last_transition_cause() const;
@@ -168,15 +177,13 @@ private:
     NetworkModel model_;
     detail::PayloadPool payload_pool_; ///< must outlive the rings + mailboxes
     std::unique_ptr<detail::RingRegistry> rings_; ///< destroyed after mailboxes
+    std::unique_ptr<detail::Eventcount[]> events_; ///< per slot, sized to capacity
     std::vector<std::unique_ptr<detail::Mailbox>> mailboxes_;
     std::vector<std::unique_ptr<profile::RankCounters>> counters_;
     std::unique_ptr<std::atomic<bool>[]> failed_flags_;
     std::atomic<int> num_failed_{0};
     std::atomic<int> next_context_{0};
     Comm* world_comm_ = nullptr;
-    std::vector<Comm*> registered_comms_; // for wake_all on ibarrier/ft syncs
-    std::vector<Win*> registered_wins_;   // for wake_all on lock/fence waits
-    std::mutex registered_comms_mutex_;
     std::atomic<chaos::Engine*> chaos_engine_{nullptr};
     std::vector<std::unique_ptr<chaos::Engine>> chaos_engines_; ///< current + superseded
     std::mutex chaos_mutex_;
@@ -199,30 +206,14 @@ private:
     /// @{
     void create_rank_slot_locked(int slot);
     [[nodiscard]] bool needs_transition_locked() const;
+    [[nodiscard]] bool arrived_locked(int slot) const;
     [[nodiscard]] bool round_complete_locked() const;
     void request_transition_locked();
     void perform_transition_locked(int producer);
     /// @}
-
-    friend class Comm;
-    void register_comm(Comm* comm);
-    void unregister_comm(Comm* comm);
-
-    friend class Win;
-    void register_win(Win* win);
-    void unregister_win(Win* win);
 };
 
 namespace detail {
-
-/// @brief Thread-local binding of the current thread to (world, rank).
-struct RankContext {
-    World* world = nullptr;
-    int world_rank = UNDEFINED;
-};
-
-/// @brief The calling thread's rank context; world == nullptr outside run().
-RankContext& current_context();
 
 /// @brief The calling thread's world; throws UsageError if not attached.
 World& current_world();

@@ -3,11 +3,9 @@
 /// counters, and dispatch into the internal implementation.
 #include "xmpi/api.hpp"
 
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <thread>
 #include <vector>
 
 #include "coll.hpp"
@@ -16,7 +14,6 @@
 #include "xmpi/chaos.hpp"
 #include "xmpi/progress.hpp"
 #include "xmpi/ring.hpp"
-#include "xmpi/tuning.hpp"
 
 namespace {
 
@@ -60,43 +57,6 @@ void consume_completed(XMPI_Request* request) {
 /// (an inactive persistent request participates like a null handle).
 bool is_pollable(XMPI_Request request) {
     return request != XMPI_REQUEST_NULL && request->active();
-}
-
-/// Runs @c sweep until it returns true, escalating spin -> yield -> block on
-/// the calling rank's mailbox eventcount (any message delivery, engine
-/// completion, or failure wakes it). Replaces the old unbounded
-/// yield() busy-wait of Waitany/Waitsome: a blocked rank burns no CPU
-/// beyond the bounded spin/yield budgets. The 1ms timeout bounds the
-/// wake-up race window (see Mailbox::wait_signal); progress::poll() keeps
-/// the rank's own engine tasks moving while it waits.
-template <typename Sweep>
-void wait_ladder(Sweep&& sweep) {
-    for (int i = xmpi::tuning::spin_budget(); i > 0; --i) {
-        if (sweep()) {
-            return;
-        }
-        xmpi::detail::spin_pause();
-    }
-    for (int i = xmpi::tuning::yield_budget(); i > 0; --i) {
-        if (sweep()) {
-            return;
-        }
-        std::this_thread::yield();
-    }
-    auto const& context = xmpi::detail::current_context();
-    if (context.world == nullptr) {
-        // Threads outside a world (helpers polling a handed-off request)
-        // have no mailbox to block on.
-        while (!sweep()) {
-            std::this_thread::yield();
-        }
-        return;
-    }
-    auto& mailbox = context.world->mailbox(context.world_rank);
-    while (!sweep()) {
-        xmpi::progress::poll();
-        mailbox.wait_signal(std::chrono::milliseconds(1));
-    }
 }
 
 } // namespace
@@ -225,7 +185,7 @@ int XMPI_Send(
 int XMPI_Ssend(
     void const* buf, int count, XMPI_Datatype datatype, int dest, int tag, XMPI_Comm comm) {
     count_call(xmpi::profile::Call::ssend);
-    auto sync = std::make_shared<xmpi::detail::SyncHandle>();
+    auto sync = std::make_shared<xmpi::detail::SyncHandle>(xmpi::detail::current_context());
     if (int const err = xmpi::detail::transport_send(
             *comm, dest, tag, comm->pt2pt_context(), buf, static_cast<std::size_t>(count),
             *datatype, sync);
@@ -259,7 +219,7 @@ int XMPI_Issend(
     void const* buf, int count, XMPI_Datatype datatype, int dest, int tag, XMPI_Comm comm,
     XMPI_Request* request) {
     count_call(xmpi::profile::Call::issend);
-    auto sync = std::make_shared<xmpi::detail::SyncHandle>();
+    auto sync = std::make_shared<xmpi::detail::SyncHandle>(xmpi::detail::current_context());
     int const err = xmpi::detail::transport_send(
         *comm, dest, tag, comm->pt2pt_context(), buf, static_cast<std::size_t>(count), *datatype,
         sync);
@@ -496,7 +456,7 @@ int XMPI_Waitany(int count, XMPI_Request* requests, int* index, XMPI_Status* sta
         }
         return false;
     };
-    wait_ladder(sweep);
+    xmpi::detail::wait_until(xmpi::detail::current_context(), sweep);
     if (none_active) {
         *index = XMPI_UNDEFINED;
         if (status != XMPI_STATUS_IGNORE) {
@@ -546,7 +506,7 @@ int XMPI_Waitsome(
         }
         return *outcount > 0;
     };
-    wait_ladder(sweep);
+    xmpi::detail::wait_until(xmpi::detail::current_context(), sweep);
     if (none_active) {
         *outcount = XMPI_UNDEFINED;
         return XMPI_SUCCESS;

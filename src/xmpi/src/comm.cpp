@@ -86,11 +86,9 @@ Comm::Comm(World* world, std::vector<int> members)
         nbc_sequence_[i].store(0, std::memory_order_relaxed);
     }
     ibarrier_.next_round_of_rank.assign(members_.size(), 0);
-    world_->register_comm(this);
 }
 
 Comm::~Comm() {
-    world_->unregister_comm(this);
     // A rendezvous round whose last pending consumers all died leaves its
     // result parked in the sync structure; dispose of it with the round's
     // retire callback (no threads can race us in the destructor).
@@ -124,11 +122,17 @@ bool Comm::any_member_failed() const {
     });
 }
 
+void Comm::notify_members() const {
+    for (int world_rank: members_) {
+        world_->events(world_rank).notify();
+    }
+}
+
 std::vector<int> Comm::surviving_members() const {
     std::vector<int> survivors;
     survivors.reserve(members_.size());
     for (int world_rank: members_) {
-        if (!world_->is_failed(world_rank)) {
+        if (!world_->departed(world_rank)) {
             survivors.push_back(world_rank);
         }
     }

@@ -3,7 +3,6 @@
 #include "xmpi/elastic.hpp"
 
 #include <algorithm>
-#include <chrono>
 
 #include "coll.hpp"
 #include "xmpi/chaos.hpp"
@@ -15,11 +14,6 @@ namespace xmpi {
 namespace {
 
 using detail::MemberState;
-
-/// Bounded elastic wait: World::wake_all notifies the elastic cv *without*
-/// the elastic mutex (it may run while that mutex is held), so a lost wake
-/// is possible and costs at most one of these timeouts, never a hang.
-constexpr auto k_elastic_wait = std::chrono::milliseconds(2);
 
 char const* cause_literal(bool grow, bool shrink, bool failure) {
     // Spans reference transition causes as static literals (they never own
@@ -75,7 +69,8 @@ void World::create_rank_slot_locked(int slot) {
     // The joiner's own scan bound (slot + 1) covers every possible sender;
     // the *other* mailboxes learn about the new slot at the transition.
     mailboxes_[static_cast<std::size_t>(slot)] = std::make_unique<detail::Mailbox>(
-        this, &payload_pool_, counters_[static_cast<std::size_t>(slot)].get(), slot, slot + 1);
+        this, &payload_pool_, counters_[static_cast<std::size_t>(slot)].get(), &events(slot), slot,
+        slot + 1);
     // Release-publish the slot count after the slot contents: readers
     // iterating [0, rank_slots()) (wake_all, profile snapshots) synchronize
     // on this store.
@@ -88,14 +83,18 @@ bool World::needs_transition_locked() const {
            || es.current->revoked() || es.current->any_member_failed();
 }
 
+bool World::arrived_locked(int slot) const {
+    auto const& arrived = elastic_->arrived;
+    return std::find(arrived.begin(), arrived.end(), slot) != arrived.end();
+}
+
 bool World::round_complete_locked() const {
     auto const& es = *elastic_;
     for (int slot = 0; slot < es.next_slot; ++slot) {
         auto const state = es.members[static_cast<std::size_t>(slot)];
         bool const required = (state == MemberState::active || state == MemberState::leaving)
                               && !is_failed(slot);
-        if (required
-            && std::find(es.arrived.begin(), es.arrived.end(), slot) == es.arrived.end()) {
+        if (required && !arrived_locked(slot)) {
             return false;
         }
     }
@@ -174,6 +173,11 @@ void World::perform_transition_locked(int producer) {
     // delivery never misclassifies a fresh-context message as stale.
     membership_epoch_.store(es.epoch, std::memory_order_release);
     transition_pending_.store(false, std::memory_order_release);
+    for (int slot = 0; slot < es.next_slot; ++slot) {
+        if (mailboxes_[static_cast<std::size_t>(slot)] != nullptr) {
+            mailboxes_[static_cast<std::size_t>(slot)]->drop_stale_unexpected();
+        }
+    }
     counters(producer).epoch_transitions.fetch_add(1, std::memory_order_relaxed);
     if (profile::tracing_enabled()) {
         profile::Span span;
@@ -185,7 +189,7 @@ void World::perform_transition_locked(int producer) {
         profile::record_span(span);
     }
     es.arrived.clear();
-    es.cv.notify_all();
+    wake_all();
 }
 
 // ---------------------------------------------------------------------------
@@ -212,9 +216,9 @@ Comm* World::epoch_sync() {
             es.current->retain();
             return es.current;
         }
-        if (std::find(es.arrived.begin(), es.arrived.end(), me) == es.arrived.end()) {
+        if (!arrived_locked(me)) {
             es.arrived.push_back(me);
-            es.cv.notify_all();
+            wake_all();
             // Chaos window: die *after* arriving at the transition round but
             // *before* it produces the next epoch — the remaining
             // participants must fold this failure into the same round.
@@ -225,7 +229,10 @@ Comm* World::epoch_sync() {
             es.current->retain();
             return es.current;
         }
-        es.cv.wait_for(lock, k_elastic_wait);
+        // Another member's arrival, a transition, or a failure ends this.
+        detail::wait_locked(detail::current_context(), lock, [&] {
+            return !needs_transition_locked() || !arrived_locked(me) || round_complete_locked();
+        });
     }
 }
 
@@ -256,13 +263,16 @@ int World::open_session() {
     // joiner for the transition to exclude.
     count_elastic_call(*this, slot, profile::Call::session_open);
     std::unique_lock lock(es.mutex);
-    while (es.members[static_cast<std::size_t>(slot)] == MemberState::joining) {
+    auto const admitted = [&] {
+        return es.members[static_cast<std::size_t>(slot)] != MemberState::joining;
+    };
+    while (!admitted()) {
         // Normally a member performs the transition; if no live member is
         // left to do so (all failed or leaving), the joiner completes it.
-        if (round_complete_locked()) {
+        detail::wait_locked(detail::current_context(), lock,
+                            [&] { return admitted() || round_complete_locked(); });
+        if (!admitted()) {
             perform_transition_locked(slot);
-        } else {
-            es.cv.wait_for(lock, k_elastic_wait);
         }
     }
     return slot;
@@ -288,18 +298,23 @@ void World::leave_session() {
     count_elastic_call(*this, me, profile::Call::session_leave);
     {
         std::unique_lock lock(es.mutex);
-        while (es.members[static_cast<std::size_t>(me)] == MemberState::leaving) {
-            if (std::find(es.arrived.begin(), es.arrived.end(), me) == es.arrived.end()) {
+        auto const retired = [&] {
+            return es.members[static_cast<std::size_t>(me)] != MemberState::leaving;
+        };
+        while (!retired()) {
+            if (!arrived_locked(me)) {
                 // Leavers participate in the round like members (they are
                 // required arrivals until the transition retires them).
                 es.arrived.push_back(me);
-                es.cv.notify_all();
+                wake_all();
                 chaos::hit_hook(*this, me, chaos::Hook::ft_elastic_sync);
             }
             if (round_complete_locked()) {
                 perform_transition_locked(me);
             } else {
-                es.cv.wait_for(lock, k_elastic_wait);
+                detail::wait_locked(detail::current_context(), lock, [&] {
+                    return retired() || !arrived_locked(me) || round_complete_locked();
+                });
             }
         }
     }
@@ -315,6 +330,19 @@ bool World::membership_pending() const {
     }
     std::lock_guard lock(elastic_->mutex);
     return needs_transition_locked();
+}
+
+bool World::departed(int world_rank) const {
+    if (is_failed(world_rank)) {
+        return true;
+    }
+    if (elastic_ == nullptr) {
+        return false;
+    }
+    std::lock_guard lock(elastic_->mutex);
+    auto const state = elastic_->members[static_cast<std::size_t>(world_rank)];
+    return state == MemberState::leaving || state == MemberState::left
+           || arrived_locked(world_rank);
 }
 
 char const* World::last_transition_cause() const {

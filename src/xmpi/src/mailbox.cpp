@@ -48,9 +48,7 @@ void Mailbox::complete_rendezvous_locked(
         counters_->rendezvous_transfers.fetch_add(1, std::memory_order_relaxed);
         counters_->bytes_zero_copied.fetch_add(rdv.size, std::memory_order_relaxed);
         rdv.phase.store(RendezvousState::completed, std::memory_order_release);
-        if (rdv.sender_box != nullptr) {
-            rdv.sender_box->wake();
-        }
+        rdv.sender_events->notify();
         return;
     }
     if (expected == RendezvousState::eagering) {
@@ -159,18 +157,35 @@ void Mailbox::enqueue_unexpected_locked(Message&& message) {
     unexpected_[message.env].push_back(std::move(message));
 }
 
+void Mailbox::drop_stale(Message const& message) {
+    counters_->stale_epoch_drops.fetch_add(1, std::memory_order_relaxed);
+    if (message.sync != nullptr) {
+        // Never leave a synchronous-mode sender parked on a message that
+        // is being dropped; its epoch-stale comm reports the error.
+        message.sync->signal();
+    }
+}
+
+void Mailbox::drop_stale_unexpected() {
+    std::lock_guard lock(mutex_);
+    std::erase_if(unexpected_, [&](auto const& bucket) {
+        if (!world_->context_is_stale(bucket.first.context)) {
+            return false;
+        }
+        for (Message const& message: bucket.second) {
+            drop_stale(message);
+        }
+        return true;
+    });
+}
+
 void Mailbox::deliver_locked(Message&& message) {
     // Elastic worlds: a message published on a superseded epoch's
     // communicator must never match a receive of the current epoch. The
     // per-epoch comms register their contexts, so one map lookup decides;
     // non-elastic worlds skip this on a single branch.
     if (world_->elastic_enabled() && world_->context_is_stale(message.env.context)) {
-        counters_->stale_epoch_drops.fetch_add(1, std::memory_order_relaxed);
-        if (message.sync != nullptr) {
-            // Never leave a synchronous-mode sender parked on a message that
-            // is being dropped; its epoch-stale comm reports the error.
-            message.sync->signal();
-        }
+        drop_stale(message);
         return;
     }
     if (auto ticket = take_matching_posted_locked(message.env)) {
@@ -258,7 +273,7 @@ void Mailbox::deliver_overflow(PeerRing& ring, Message message) {
         drain_one_ring_locked(ring);
         deliver_locked(std::move(message));
     }
-    cv_.notify_all();
+    events_->notify();
 }
 
 bool Mailbox::poll() {
@@ -273,7 +288,7 @@ bool Mailbox::poll() {
     bool const progressed = drain_rings_locked();
     lock.unlock();
     if (progressed) {
-        cv_.notify_all();
+        events_->notify();
     }
     return progressed;
 }
@@ -301,7 +316,7 @@ bool Mailbox::post_or_match(std::shared_ptr<RecvTicket> const& ticket) {
         }
     }
     if (progressed) {
-        cv_.notify_all();
+        events_->notify();
     }
     return matched;
 }
@@ -326,7 +341,7 @@ bool Mailbox::cancel(std::shared_ptr<RecvTicket> const& ticket) {
         }
     }
     if (progressed) {
-        cv_.notify_all();
+        events_->notify();
     }
     return removed;
 }
@@ -367,7 +382,7 @@ bool Mailbox::probe(Envelope const& pattern, Status& status) {
         found = find_unexpected_locked(pattern, status);
     }
     if (progressed) {
-        cv_.notify_all();
+        events_->notify();
     }
     return found;
 }

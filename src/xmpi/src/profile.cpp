@@ -35,8 +35,6 @@ Snapshot snapshot_counters(RankCounters const& counters) {
     snapshot.engine_caller_steals = counters.engine_caller_steals.load(std::memory_order_relaxed);
     snapshot.engine_incomplete_destructions =
         counters.engine_incomplete_destructions.load(std::memory_order_relaxed);
-    snapshot.engine_stall_escalations =
-        counters.engine_stall_escalations.load(std::memory_order_relaxed);
     snapshot.rma_puts = counters.rma_puts.load(std::memory_order_relaxed);
     snapshot.rma_gets = counters.rma_gets.load(std::memory_order_relaxed);
     snapshot.rma_accumulates = counters.rma_accumulates.load(std::memory_order_relaxed);

@@ -4,13 +4,13 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <cstdio>
 #include <deque>
 #include <memory>
 #include <mutex>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "xmpi/comm.hpp"
@@ -24,9 +24,9 @@ namespace {
 
 /// @brief One resumable collective task. State transitions:
 /// queued -> running -> done, or queued -> {cancelled, done-with-error}
-/// (cancel / revocation / rank-death sweeps). `error` is written under the
-/// task mutex before the releasing state store, so a test() that observes a
-/// terminal state through the acquire load reads a settled error code.
+/// (cancel / revocation / rank-death sweeps). `error` is stored before the
+/// releasing state store, so a test() that observes a terminal state through
+/// the acquire load reads a settled error code.
 struct Task {
     enum State : int { queued, running, done, cancelled };
 
@@ -37,25 +37,26 @@ struct Task {
     double enqueued_s = 0.0;      ///< wtime() at submission (queue-wait spans)
 
     std::atomic<int> state{queued};
-    int error = XMPI_SUCCESS;
-    std::mutex mutex;
-    std::condition_variable cv;
+    std::atomic<int> error{XMPI_SUCCESS};
 };
 
 using TaskPtr = std::shared_ptr<Task>;
+
+/// True while the calling thread executes an engine task.
+thread_local bool t_running_task = false;
 
 bool is_terminal(int state) {
     return state == Task::done || state == Task::cancelled;
 }
 
-/// @brief Completes @c task (terminal state + error) and wakes its waiters.
+/// @brief Completes @c task (terminal state + error) and notifies its
+/// initiating rank, where every waiter on the task parks.
 void finish(Task& task, int error, int final_state) {
-    {
-        std::lock_guard lock(task.mutex);
-        task.error = error;
-        task.state.store(final_state, std::memory_order_release);
+    task.error.store(error, std::memory_order_relaxed);
+    task.state.store(final_state, std::memory_order_release);
+    if (task.ctx.world != nullptr) {
+        task.ctx.world->events(task.ctx.world_rank).notify();
     }
-    task.cv.notify_all();
 }
 
 void bump_max(std::atomic<std::uint64_t>& slot, std::uint64_t value) {
@@ -80,7 +81,7 @@ public:
     bool test_assist(TaskPtr const& task);
     bool cancel(TaskPtr const& task);
     void on_request_destroyed(TaskPtr const& task);
-    bool poll();
+    bool poll(bool awaited_only);
 
     void configure(Config config) {
         std::lock_guard config_lock(config_mutex_);
@@ -139,6 +140,10 @@ private:
         }
         task->state.store(Task::running, std::memory_order_relaxed);
         running_.push_back(task);
+        if (task->comm != nullptr) {
+            // The peers' matching tasks just became awaited (see help_own).
+            task->comm->notify_members();
+        }
         return true;
     }
 
@@ -149,6 +154,7 @@ private:
         auto& context = xmpi::detail::current_context();
         auto const saved = context;
         context = task->ctx;
+        bool const nested = std::exchange(t_running_task, true);
         double const started_s = wtime();
         int error = XMPI_SUCCESS;
         try {
@@ -173,6 +179,7 @@ private:
             profile::record_span(span);
         }
         context = saved;
+        t_running_task = nested;
         finish(*task, error, Task::done);
         {
             std::lock_guard lock(mutex_);
@@ -188,31 +195,45 @@ private:
     /// peers (non-blocking collectives are initiated in the same order on
     /// all ranks). Stealing *another* rank's task would let the caller
     /// block inside a collective whose remaining contributions are still
-    /// queued — with every thread wedged that way the queue deadlocks.
-    /// Returns true iff a task ran.
-    bool help_own() {
+    /// queued — with every thread wedged that way the queue deadlocks. A
+    /// thread already executing a task starts no other: the outer task's
+    /// completion would then wait on the inner one, whose peers may in turn
+    /// wait on the outer (e.g. to observe its failure and revoke).
+    /// With @c awaited_only, the oldest own task runs only if some own
+    /// queued task is awaited: another rank's task is executing on its
+    /// communicator and so may be blocked on this contribution. Repeated
+    /// calls thus run the own tasks oldest first up to and including the
+    /// awaited one; a younger task never jumps the queue, which keeps the
+    /// ranks' executions aligned. Returns true iff a task ran.
+    bool help_own(bool awaited_only) {
         auto const& ctx = xmpi::detail::current_context();
-        if (ctx.world == nullptr) {
+        if (ctx.world == nullptr || t_running_task) {
             return false;
         }
+        auto const own = [&](Task const& task) {
+            return task.ctx.world == ctx.world && task.ctx.world_rank == ctx.world_rank
+                   && task.state.load(std::memory_order_relaxed) == Task::queued;
+        };
+        auto const awaited = [&](TaskPtr const& task) {
+            return own(*task)
+                   && std::any_of(running_.begin(), running_.end(), [&](TaskPtr const& running) {
+                          return running->comm == task->comm
+                                 && running->ctx.world_rank != ctx.world_rank;
+                      });
+        };
         TaskPtr claimed;
         {
             std::lock_guard lock(mutex_);
-            auto it = queue_.begin();
-            while (it != queue_.end()) {
-                if ((*it)->ctx.world != ctx.world || (*it)->ctx.world_rank != ctx.world_rank) {
-                    ++it;
-                    continue;
-                }
-                TaskPtr task = *it;
-                it = queue_.erase(it);
-                if (task->state.load(std::memory_order_relaxed) != Task::queued) {
-                    continue; // cancelled concurrently; look for another own task
-                }
-                if (claim_locked(task)) {
-                    claimed = std::move(task);
-                }
-                break;
+            auto const oldest = std::find_if(
+                queue_.begin(), queue_.end(), [&](TaskPtr const& task) { return own(*task); });
+            if (oldest == queue_.end()
+                || (awaited_only && std::none_of(oldest, queue_.end(), awaited))) {
+                return false;
+            }
+            TaskPtr task = *oldest;
+            queue_.erase(oldest);
+            if (claim_locked(task)) {
+                claimed = std::move(task);
             }
         }
         if (claimed == nullptr) {
@@ -223,52 +244,6 @@ private:
         }
         run_task(claimed);
         return true;
-    }
-
-    /// @brief Stall valve: a waiter observed no progress while queued tasks
-    /// exist and no worker is idle — every executor is blocked inside a
-    /// collective body whose remaining contributions are still queued.
-    /// Grow the pool by one temporary worker so the queue keeps draining;
-    /// escalation repeats while the stall persists, so in the worst case
-    /// (adversarial completion-dependency patterns) the engine degenerates
-    /// to one thread per blocked task — exactly the old thread-per-request
-    /// cost, paid only when those threads are needed for correctness.
-    void escalate() {
-        std::lock_guard lock(mutex_);
-        if (queue_.empty() || idle_workers_ > 0 || stopping_) {
-            return;
-        }
-        if (auto* counters = counters_of(xmpi::detail::current_context())) {
-            counters->engine_stall_escalations.fetch_add(1, std::memory_order_relaxed);
-        }
-        escalated_.emplace_back([this] { escalated_loop(); });
-    }
-
-    /// @brief Temporary worker: drains queued tasks and exits as soon as
-    /// the queue is empty. The exited thread stays joinable in escalated_
-    /// (a handle, not a live thread) until the next stop_workers() reaps it.
-    void escalated_loop() {
-        for (;;) {
-            TaskPtr claimed;
-            {
-                std::lock_guard lock(mutex_);
-                while (!stopping_ && !queue_.empty()) {
-                    TaskPtr task = queue_.front();
-                    queue_.pop_front();
-                    if (task->state.load(std::memory_order_relaxed) != Task::queued) {
-                        continue;
-                    }
-                    if (claim_locked(task)) {
-                        claimed = std::move(task);
-                        break;
-                    }
-                }
-            }
-            if (claimed == nullptr) {
-                return;
-            }
-            run_task(claimed);
-        }
     }
 
     /// @brief Claims @c task iff it is still queued (wait()'s own-task steal
@@ -368,21 +343,16 @@ private:
     /// Callers must hold config_mutex_ (never mutex_ — joining needs it).
     void stop_workers() {
         std::vector<std::thread> workers;
-        std::vector<std::thread> escalated;
         {
             std::lock_guard lock(mutex_);
-            if (workers_.empty() && escalated_.empty()) {
+            if (workers_.empty()) {
                 return;
             }
             stopping_ = true;
             workers.swap(workers_);
-            escalated.swap(escalated_);
         }
         work_cv_.notify_all();
         for (auto& worker: workers) {
-            worker.join();
-        }
-        for (auto& worker: escalated) {
             worker.join();
         }
         std::lock_guard lock(mutex_);
@@ -396,7 +366,6 @@ private:
     std::deque<TaskPtr> queue_;
     std::vector<TaskPtr> running_; ///< tasks currently executing anywhere
     std::vector<std::thread> workers_;
-    std::vector<std::thread> escalated_; ///< stall-valve workers (see escalate())
     unsigned idle_workers_ = 0;
     bool stopping_ = false;
     Config config_{};
@@ -408,8 +377,8 @@ Engine& engine() {
 }
 
 /// @brief Request handle backing an engine task. Completion polling is a
-/// single acquire load; wait() blocks on the per-task event and supplies
-/// caller-driven progress (see progress.hpp header).
+/// single acquire load; wait() parks on the initiating rank's eventcount and
+/// supplies caller-driven progress (see progress.hpp header).
 class EngineRequest final : public Request {
 public:
     explicit EngineRequest(TaskPtr task) : task_(std::move(task)) {}
@@ -425,13 +394,13 @@ public:
         if (!is_terminal(task_->state.load(std::memory_order_acquire))) {
             return false;
         }
-        status = Status{UNDEFINED, UNDEFINED, task_->error, 0};
+        status = Status{UNDEFINED, UNDEFINED, task_->error.load(std::memory_order_relaxed), 0};
         return true;
     }
 
     void wait(Status& status) override {
         engine().wait(task_);
-        status = Status{UNDEFINED, UNDEFINED, task_->error, 0};
+        status = Status{UNDEFINED, UNDEFINED, task_->error.load(std::memory_order_relaxed), 0};
     }
 
     bool cancel() override { return engine().cancel(task_); }
@@ -482,44 +451,19 @@ Request* Engine::submit(
 }
 
 void Engine::wait(TaskPtr const& task) {
-    // Fruitless 1ms ticks before the stall valve opens (see escalate()).
-    constexpr int kStallTicks = 10;
-    int stalled_ticks = 0;
-    for (;;) {
-        int const state = task->state.load(std::memory_order_acquire);
-        if (is_terminal(state)) {
-            return;
-        }
-        if (state == Task::queued && help_task(task, /*only_if_saturated=*/false)) {
-            continue;
-        }
-        // Our task runs elsewhere: drain our own queued tasks while we
-        // block (their peers may be waiting on exactly these), then sleep a
-        // tick. The short timed wait re-checks for queued work that
-        // appeared (or failure sweeps) without a dedicated wake-up channel.
-        if (help_own()) {
-            stalled_ticks = 0;
-            continue;
-        }
-        // Keep the caller's transport rings draining while it blocks here:
-        // a peer's collective task may be waiting on a rendezvous claim or a
-        // batch that only this rank's mailbox can consume.
-        if (auto const& ctx = xmpi::detail::current_context(); ctx.world != nullptr) {
-            if (ctx.world->mailbox(ctx.world_rank).poll()) {
-                stalled_ticks = 0;
-                continue;
-            }
-        }
-        std::unique_lock lock(task->mutex);
-        task->cv.wait_for(lock, std::chrono::milliseconds(1), [&] {
-            return is_terminal(task->state.load(std::memory_order_relaxed));
-        });
-        lock.unlock();
-        if (++stalled_ticks >= kStallTicks) {
-            escalate();
-            stalled_ticks = 0;
-        }
+    if (task->state.load(std::memory_order_acquire) == Task::queued) {
+        help_task(task, /*only_if_saturated=*/false);
     }
+    // Our task runs elsewhere: drain our own queued tasks, oldest first
+    // (their peers may be waiting on exactly these), then park. While
+    // parked, wait_until drains our rings (a peer's task may wait on a claim
+    // or batch only this rank consumes).
+    while (!is_terminal(task->state.load(std::memory_order_acquire))
+           && help_own(/*awaited_only=*/false)) {
+    }
+    xmpi::detail::wait_until(task->ctx, [&] {
+        return is_terminal(task->state.load(std::memory_order_acquire));
+    });
 }
 
 bool Engine::test_assist(TaskPtr const& task) {
@@ -562,8 +506,8 @@ void Engine::on_request_destroyed(TaskPtr const& task) {
     wait(task);
 }
 
-bool Engine::poll() {
-    return help_own();
+bool Engine::poll(bool awaited_only) {
+    return help_own(awaited_only);
 }
 
 } // namespace
@@ -582,7 +526,7 @@ unsigned default_thread_count() {
 }
 
 bool poll() {
-    return engine().poll();
+    return engine().poll(/*awaited_only=*/false);
 }
 
 void shutdown() {
@@ -590,6 +534,10 @@ void shutdown() {
 }
 
 namespace detail {
+
+bool poll_awaited() {
+    return engine().poll(/*awaited_only=*/true);
+}
 
 Request* submit(char const* op, Comm* comm, std::function<int()> body) {
     return engine().submit(op, comm, xmpi::detail::current_context(), std::move(body));

@@ -1,7 +1,5 @@
 #include "xmpi/request.hpp"
 
-#include <chrono>
-
 #include "xmpi/comm.hpp"
 #include "xmpi/error.hpp"
 #include "xmpi/mailbox.hpp"
@@ -10,8 +8,7 @@
 namespace xmpi::detail {
 
 bool SyncRequest::test(Status& status) {
-    std::lock_guard lock(handle_->mutex);
-    if (handle_->matched) {
+    if (handle_->matched.load(std::memory_order_acquire)) {
         status = Status{UNDEFINED, UNDEFINED, XMPI_SUCCESS, 0};
         return true;
     }
@@ -24,19 +21,7 @@ bool SyncRequest::test(Status& status) {
 }
 
 void SyncRequest::wait(Status& status) {
-    std::unique_lock lock(handle_->mutex);
-    // Poll with a short timeout: failure/revocation wake-ups are broadcast to
-    // mailboxes and comm sync structures but not to individual send handles.
-    while (!(handle_->matched
-             || (comm_ != nullptr && (comm_->revoked() || comm_->any_member_failed())))) {
-        handle_->cv.wait_for(lock, std::chrono::milliseconds(1));
-    }
-    if (handle_->matched) {
-        status = Status{UNDEFINED, UNDEFINED, XMPI_SUCCESS, 0};
-    } else {
-        status = Status{
-            UNDEFINED, UNDEFINED, comm_->revoked() ? XMPI_ERR_REVOKED : XMPI_ERR_PROC_FAILED, 0};
-    }
+    wait_until(handle_->sender, [&] { return test(status); });
 }
 
 bool RecvRequest::test(Status& status) {
@@ -117,17 +102,7 @@ bool IbarrierRequest::test(Status& status) {
 }
 
 void IbarrierRequest::wait(Status& status) {
-    auto& sync = comm_->ibarrier_sync();
-    std::unique_lock lock(sync.mutex);
-    sync.cv.wait(lock, [&] {
-        return sync.completed_rounds > round_ || comm_->revoked() || comm_->any_member_failed();
-    });
-    if (sync.completed_rounds > round_) {
-        status = Status{UNDEFINED, UNDEFINED, XMPI_SUCCESS, 0};
-    } else {
-        status = Status{
-            UNDEFINED, UNDEFINED, comm_->revoked() ? XMPI_ERR_REVOKED : XMPI_ERR_PROC_FAILED, 0};
-    }
+    wait_until(current_context(), [&] { return test(status); });
 }
 
 } // namespace xmpi::detail

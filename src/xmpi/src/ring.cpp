@@ -4,7 +4,14 @@
 #include <cstring>
 #include <new>
 
+#include "xmpi/world.hpp"
+
 namespace xmpi::detail {
+
+void SyncHandle::signal() {
+    matched.store(true, std::memory_order_release);
+    sender.world->events(sender.world_rank).notify();
+}
 
 namespace {
 [[nodiscard]] std::size_t round_pow2(std::size_t value) {

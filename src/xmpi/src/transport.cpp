@@ -1,7 +1,6 @@
 #include "transport.hpp"
 
 #include <cstring>
-#include <thread>
 
 #include "xmpi/chaos.hpp"
 #include "xmpi/tuning.hpp"
@@ -88,8 +87,7 @@ int send_rendezvous(
     auto rdv = std::make_shared<RendezvousState>();
     rdv->src_data = data;
     rdv->size = bytes;
-    Mailbox& my_box = world.mailbox(src_world);
-    rdv->sender_box = &my_box;
+    rdv->sender_events = &world.events(src_world);
 
     RingEntry entry;
     entry.kind = RingEntry::Kind::rendezvous;
@@ -129,28 +127,20 @@ int send_rendezvous(
 
     chaos::hit_hook(world, src_world, chaos::Hook::ft_rendezvous_publish);
 
-    // Wait for the receiver's claim: spin briefly (same budget as receives),
-    // then park on our own mailbox — draining it while parked, so two ranks
-    // exchanging large messages (posted-receive-first, like XMPI_Sendrecv)
-    // both complete at full zero-copy speed instead of timing out.
+    // Wait for the receiver's claim, draining our own rings meanwhile, so
+    // two ranks exchanging large messages (posted-receive-first, like
+    // XMPI_Sendrecv) both complete at full zero-copy speed. The fallback
+    // deadline keeps the wait on the yield rung: it ends in a claim, a
+    // failure, or the eager copy below.
     double const deadline = wtime() + 1e-6 * static_cast<double>(
                                 tuning::transport().rendezvous_fallback_us);
-    for (int i = tuning::spin_budget(); i > 0; --i) {
-        if (rdv->phase.load(std::memory_order_acquire) != RendezvousState::published) {
-            break;
-        }
-        spin_pause();
-    }
-    // Yield rung: on an oversubscribed machine this hands the core to the
-    // receiver so its claim resolves in one scheduler pass instead of a
-    // futex sleep/wake per transfer.
-    for (int i = tuning::yield_budget(); i > 0; --i) {
-        if (rdv->phase.load(std::memory_order_acquire) != RendezvousState::published) {
-            break;
-        }
-        std::this_thread::yield();
-    }
     while (true) {
+        wait_until(
+            RankContext{&world, src_world},
+            [&] {
+                return rdv->phase.load(std::memory_order_acquire) != RendezvousState::published;
+            },
+            [&] { return check_peer(comm, dest) != XMPI_SUCCESS; }, deadline);
         std::uint32_t phase = rdv->phase.load(std::memory_order_acquire);
         if (phase == RendezvousState::claimed) {
             phase = rdv->await_leaving(RendezvousState::claimed);
@@ -170,24 +160,17 @@ int send_rendezvous(
             }
             continue; // a claim raced in: resolve it on the next iteration
         }
-        if (wtime() >= deadline) {
-            std::uint32_t expected = RendezvousState::published;
-            if (rdv->phase.compare_exchange_strong(
-                    expected, RendezvousState::eagering, std::memory_order_acq_rel)) {
-                // No receiver showed up in time: restore plain eager
-                // semantics by parking a copy in the descriptor. (For
-                // synchronous-mode sends the caller still blocks on its
-                // SyncHandle until the receiver matches the descriptor.)
-                rdv->fallback.assign(data, data + bytes);
-                rdv->phase.store(RendezvousState::eagered, std::memory_order_release);
-                return XMPI_SUCCESS;
-            }
-            continue;
+        std::uint32_t expected = RendezvousState::published;
+        if (rdv->phase.compare_exchange_strong(
+                expected, RendezvousState::eagering, std::memory_order_acq_rel)) {
+            // No receiver showed up in time: restore plain eager
+            // semantics by parking a copy in the descriptor. (For
+            // synchronous-mode sends the caller still blocks on its
+            // SyncHandle until the receiver matches the descriptor.)
+            rdv->fallback.assign(data, data + bytes);
+            rdv->phase.store(RendezvousState::eagered, std::memory_order_release);
+            return XMPI_SUCCESS;
         }
-        my_box.wait_signal(std::chrono::microseconds(100), [&] {
-            return rdv->phase.load(std::memory_order_acquire)
-                   != RendezvousState::published;
-        });
     }
 }
 

@@ -7,7 +7,7 @@
 /// than over the regular transport (which reports errors for failed peers).
 ///
 /// The rendezvous is survivor-aware: round membership is tracked as explicit
-/// world-rank lists, and every wake re-evaluates the survivor set and prunes
+/// world-rank lists, and every check re-evaluates the survivor set and prunes
 /// ranks that died mid-round — after contributing, or with the result still
 /// unconsumed — so a failure at any point of a round can no longer hang the
 /// remaining members or leak the round's result into the next one.
@@ -22,21 +22,23 @@
 namespace xmpi::detail {
 namespace {
 
-/// @brief Discounts ranks that have failed from the round membership lists.
+/// @brief Discounts departed ranks (World::departed) from the round
+/// membership lists.
 void prune_dead(World const& world, FtSync& ft) {
-    auto const dead = [&](int world_rank) { return world.is_failed(world_rank); };
+    auto const dead = [&](int world_rank) { return world.departed(world_rank); };
     std::erase_if(ft.arrived_ranks, dead);
     std::erase_if(ft.pending_ranks, dead);
 }
 
 /// @brief Closes the round once the result is produced and no surviving
 /// consumer is left to pick it up. Runs the round's retire callback (which
-/// drops the round's own reference to the result), resets the agree
-/// accumulator for the next round, and wakes ranks waiting to start one.
-/// Must be called with ft.mutex held.
-void maybe_finish_round(FtSync& ft) {
+/// drops the round's own reference to the result) and resets the agree
+/// accumulator for the next round. Returns true iff it closed the round
+/// (the caller then notifies the members waiting to start one). Must be
+/// called with ft.mutex held.
+bool maybe_finish_round(FtSync& ft) {
     if (ft.result == nullptr || !ft.pending_ranks.empty()) {
-        return;
+        return false;
     }
     if (ft.retire) {
         ft.retire(ft.result);
@@ -44,7 +46,7 @@ void maybe_finish_round(FtSync& ft) {
     }
     ft.result = nullptr;
     ft.agree_accumulator = ~0;
-    ft.cv.notify_all();
+    return true;
 }
 
 /// @brief Rendezvous among the surviving members: everyone contributes via
@@ -52,7 +54,8 @@ void maybe_finish_round(FtSync& ft) {
 /// survivors arrived produces the round result via @c produce, and every
 /// survivor picks it up via @c consume. The round closes after the last
 /// surviving consumer leaves — ranks that die mid-round are pruned on every
-/// wake instead of being waited for.
+/// check instead of being waited for. Every state change notifies the
+/// communicator's members; a failure notifies them through World::wake_all.
 template <typename Contribute, typename Produce, typename Consume>
 void* ft_rendezvous(Comm& comm, Contribute&& contribute, Produce&& produce, Consume&& consume) {
     auto& world = comm.world();
@@ -62,21 +65,19 @@ void* ft_rendezvous(Comm& comm, Contribute&& contribute, Produce&& produce, Cons
     // Let a previous round drain before joining a new one. If its remaining
     // consumers all died, nobody is left to close it: prune and close it
     // here instead of waiting forever.
-    ft.cv.wait(lock, [&] {
+    wait_locked(current_context(), lock, [&] {
         prune_dead(world, ft);
         maybe_finish_round(ft);
         return ft.result == nullptr;
     });
     contribute(ft);
     ft.arrived_ranks.push_back(me);
-    ft.cv.notify_all();
+    comm.notify_members();
     // The mid-round failure window: contributed, result not yet consumed.
     // A chaos plan targeting Hook::ft_contributed kills the rank right here
     // (the throw unwinds through the unique_lock).
     chaos::hit_hook(world, me, chaos::Hook::ft_contributed);
-    // Failures wake this wait via World::wake_all(), so the survivor set is
-    // re-evaluated and dead contributors are discounted on every wake.
-    ft.cv.wait(lock, [&] {
+    wait_locked(current_context(), lock, [&] {
         if (ft.result != nullptr) {
             return true;
         }
@@ -89,13 +90,15 @@ void* ft_rendezvous(Comm& comm, Contribute&& contribute, Produce&& produce, Cons
         ft.result = produce(ft);
         ft.pending_ranks = std::move(ft.arrived_ranks);
         ft.arrived_ranks.clear();
-        ft.cv.notify_all();
+        comm.notify_members();
     }
     void* const result = ft.result;
     consume(ft, result);
     std::erase(ft.pending_ranks, me);
     prune_dead(world, ft);
-    maybe_finish_round(ft);
+    if (maybe_finish_round(ft)) {
+        comm.notify_members();
+    }
     return result;
 }
 

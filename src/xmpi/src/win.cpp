@@ -34,7 +34,6 @@ Win::Win(Comm* comm)
       locks_(static_cast<std::size_t>(comm->size())),
       apply_mutex_(std::make_unique<std::mutex[]>(static_cast<std::size_t>(comm->size()))) {
     comm_->retain();
-    comm_->world().register_win(this);
 }
 
 Win::~Win() {
@@ -46,7 +45,6 @@ Win::~Win() {
             discard_pending(op);
         }
     }
-    comm_->world().unregister_win(this);
     comm_->release();
 }
 
@@ -96,13 +94,6 @@ int Win::check_free(int origin) {
         return XMPI_ERR_RMA_SYNC;
     }
     return XMPI_SUCCESS;
-}
-
-void Win::notify_waiters() {
-    // Empty critical section: a waiter between its predicate check and
-    // cv_.wait() must not miss the notification.
-    { std::lock_guard lock(mutex_); }
-    cv_.notify_all();
 }
 
 bool Win::holds_lock_locked(int origin, int target) const {
@@ -467,25 +458,14 @@ int Win::lock(int lock_type, int target) {
             }
             return state.exclusive_holder == -1;
         };
-        while (!acquirable()) {
-            if (comm_->revoked()) {
-                return XMPI_ERR_REVOKED;
-            }
-            if (target_failed(target)) {
-                return XMPI_ERR_PROC_FAILED;
-            }
-            if (!blocked) {
-                blocked = true;
-                blocked_since = wtime();
-                counters_of(origin).rma_epoch_waits.fetch_add(1, std::memory_order_relaxed);
-            }
-            // Timed wait + mailbox poll: while this origin blocks on the
-            // lock, its transport rings must keep draining (a peer may be
-            // waiting on a rendezvous claim or batch only this rank can
-            // consume). poll() only try-locks the mailbox, so no lock-order
-            // cycle with the window mutex is possible.
-            cv_.wait_for(lock, std::chrono::milliseconds(1));
-            world.mailbox(comm_->world_rank_of(origin)).poll();
+        if (!acquirable()) {
+            blocked = true;
+            blocked_since = wtime();
+            counters_of(origin).rma_epoch_waits.fetch_add(1, std::memory_order_relaxed);
+            // An unlock, a holder's death or a revocation notifies us.
+            detail::wait_locked(detail::current_context(), lock, [&] {
+                return acquirable() || comm_->revoked() || target_failed(target);
+            });
         }
         if (comm_->revoked()) {
             return XMPI_ERR_REVOKED;
@@ -534,7 +514,7 @@ int Win::unlock(int target) {
             std::erase(state.shared_holders, origin);
         }
     }
-    cv_.notify_all();
+    comm_->notify_members();
     return err;
 }
 

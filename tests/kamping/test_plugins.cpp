@@ -1,6 +1,7 @@
 /// @file test_plugins.cpp
 /// @brief The shipped plugins (paper, Section V): sparse all-to-all (NBX),
-/// grid all-to-all, reproducible reduce, ULFM, sorter.
+/// grid all-to-all, reproducible reduce, sorter. The ULFM plugin has its own
+/// suite (test_ulfm_plugin.cpp).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -251,96 +252,6 @@ TEST_P(PluginWorldSizes, SorterProducesGloballySortedSequence) {
         long const total_after = comm.allreduce_single(
             send_buf(static_cast<long>(data.size())), op(std::plus<>{}));
         EXPECT_EQ(total_after, global_count);
-    });
-}
-
-TEST(Plugins, UlfmRecoveryWithExceptions) {
-    // The paper's Fig. 12, verbatim pattern.
-    World::run_ranked(4, [](int rank) {
-        if (rank == 2) {
-            xmpi::inject_failure();
-        }
-        FullCommunicator comm;
-        int sum = 0;
-        for (int attempt = 0; attempt < 100; ++attempt) {
-            try {
-                sum = comm.allreduce_single(send_buf(1), op(std::plus<>{}));
-                break;
-            } catch (MpiFailureDetected const&) {
-                if (!comm.is_revoked()) {
-                    comm.revoke();
-                }
-                comm = comm.shrink();
-            } catch (MpiCommRevoked const&) {
-                comm = comm.shrink();
-            }
-        }
-        EXPECT_EQ(sum, 3);
-    });
-}
-
-TEST(Plugins, UlfmShrinkAndRetryNonRootedCollective) {
-    // The Fig. 12 recovery loop packaged as one call: body re-runs on the
-    // shrunken communicator until it succeeds.
-    World::run_ranked(4, [](int rank) {
-        if (rank == 2) {
-            xmpi::inject_failure();
-        }
-        FullCommunicator comm;
-        int const sum = comm.shrink_and_retry([](FullCommunicator& c) {
-            return c.allreduce_single(send_buf(1), op(std::plus<>{}));
-        });
-        EXPECT_EQ(sum, 3);
-        EXPECT_EQ(comm.size_signed(), 3) << "the helper swapped in the survivor communicator";
-    });
-}
-
-TEST(Plugins, UlfmShrinkAndRetryRootedCollective) {
-    World::run_ranked(4, [](int rank) {
-        if (rank == 3) {
-            xmpi::inject_failure();
-        }
-        FullCommunicator comm;
-        // Root is re-derived from the current communicator inside the body,
-        // so the retry works even though ranks shift after the shrink.
-        auto const data = comm.shrink_and_retry([](FullCommunicator& c) {
-            std::vector<int> payload;
-            if (c.rank() == 0) {
-                payload = {5, 6, 7};
-            }
-            return c.bcast(send_recv_buf(std::move(payload)), root(0));
-        });
-        EXPECT_EQ(data, (std::vector<int>{5, 6, 7}));
-    });
-}
-
-TEST(Plugins, UlfmShrinkAndRetryExhaustsAttempts) {
-    World::run(2, [] {
-        FullCommunicator comm;
-        int body_runs = 0;
-        try {
-            comm.shrink_and_retry(
-                [&](FullCommunicator&) -> int {
-                    ++body_runs;
-                    throw MpiFailureDetected("synthetic");
-                },
-                /*max_attempts=*/2);
-            FAIL() << "expected MpiError after exhausting attempts";
-        } catch (MpiError const& error) {
-            EXPECT_EQ(error.error_code(), XMPI_ERR_OTHER);
-        }
-        EXPECT_EQ(body_runs, 2);
-    });
-}
-
-TEST(Plugins, UlfmAgreeOverSurvivors) {
-    World::run_ranked(3, [](int rank) {
-        if (rank == 0) {
-            xmpi::inject_failure();
-        }
-        FullCommunicator comm;
-        int const agreed = comm.agree(rank == 1 ? 0b0110 : 0b0011);
-        EXPECT_EQ(agreed, 0b0010);
     });
 }
 

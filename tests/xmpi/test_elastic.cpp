@@ -201,8 +201,9 @@ TEST(Elastic, StaleEpochMessageIsDroppedAtDelivery) {
         int value = 42;
         ASSERT_EQ(XMPI_Send(&value, 1, XMPI_INT, 1, 77, XMPI_COMM_WORLD), XMPI_SUCCESS);
         stage.store(1);
-        // Ride the admission transition (epoch_sync never drains mailboxes,
-        // so the message above stays parked until after the epoch turns).
+        // Ride the admission transition. The message above is dropped either
+        // at delivery (epoch_sync's waits drain rank 1's rings) or by the
+        // transition's sweep of stale unexpected messages.
         XMPI_Comm comm = XMPI_COMM_NULL;
         do {
             if (comm != XMPI_COMM_NULL) {
@@ -230,8 +231,8 @@ TEST(Elastic, StaleEpochMessageIsDroppedAtDelivery) {
             }
             ASSERT_EQ(XMPI_Epoch_sync(&comm), XMPI_SUCCESS);
         } while (comm->birth_epoch() == 0);
-        // First drain after the transition: the parked epoch-0 message is
-        // dropped instead of lingering as matchable unexpected state.
+        // After the transition the epoch-0 message is gone instead of
+        // lingering as matchable unexpected state.
         int flag = 1;
         EXPECT_EQ(
             XMPI_Iprobe(XMPI_ANY_SOURCE, XMPI_ANY_TAG, comm, &flag, XMPI_STATUS_IGNORE),
