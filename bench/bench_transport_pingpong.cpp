@@ -8,9 +8,15 @@
 ///   - allocs_per_send = pool_misses / messages: ~0 in steady state (every
 ///     payload either rides a recycled pooled batch block or moves with no
 ///     copy at all through the receiver-pulled rendezvous),
-///   - fastpath_sends + ring_full_fallbacks == messages (every contiguous
-///     send either entered the lock-free ring or took the counted locked
-///     bypass; nothing escapes the accounting),
+///   - ring_enqueues + coalesced_sends + ring_full_fallbacks == messages
+///     (every send either entered the lock-free ring — a coalesced append,
+///     or a published batch, message or rendezvous slot — or took the
+///     counted locked bypass; nothing escapes the accounting). Holds on
+///     every send path; the 4 KiB config exercises the packed eager path
+///     between the coalescing ceiling and the rendezvous threshold,
+///   - fastpath_sends + ring_full_fallbacks == messages at sizes that take
+///     the coalescing or rendezvous path (the packed eager path does not
+///     count fastpath sends),
 ///   - multi-pair (pairs > 1) message rate >= 2x the recorded mutex-mailbox
 ///     baseline (kBaselineMutexMailbox), the headline gate of the ring
 ///     transport. Rate configs run best-of-3 in full mode: on an
@@ -42,17 +48,26 @@ struct Result {
     std::uint64_t coalesced_sends = 0;
     std::uint64_t ring_full_fallbacks = 0;
     std::uint64_t rendezvous_transfers = 0;
+    /// The size takes the coalescing or the rendezvous path under the live
+    /// transport knobs.
+    bool fastpath_sized = false;
 
     [[nodiscard]] double allocs_per_send() const {
         return messages == 0
                    ? 0.0
                    : static_cast<double>(pool_misses) / static_cast<double>(messages);
     }
-    /// Every contiguous send either entered the lock-free ring (coalesced
-    /// append, batch/message/rendezvous publish) or took the counted locked
-    /// bypass when the ring was full — nothing bypasses the accounting.
+    /// Every send either entered the lock-free ring (coalesced append,
+    /// batch/message/rendezvous publish) or took the counted locked bypass
+    /// when the ring was full — nothing bypasses the accounting. On the
+    /// coalescing and rendezvous sizes each send also counts as a fastpath
+    /// send.
     [[nodiscard]] bool paths_consistent() const {
-        return fastpath_sends + ring_full_fallbacks == messages;
+        bool const ring_accounted =
+            ring_enqueues + coalesced_sends + ring_full_fallbacks == messages;
+        bool const fastpath_accounted =
+            !fastpath_sized || fastpath_sends + ring_full_fallbacks == messages;
+        return ring_accounted && fastpath_accounted;
     }
 };
 
@@ -65,6 +80,9 @@ Result run_pingpong(std::size_t bytes, int warmup, int rounds) {
     Result result;
     result.bytes = bytes;
     result.rounds = rounds;
+    auto const& knobs = xmpi::tuning::transport();
+    result.fastpath_sized =
+        bytes <= knobs.coalesce_max_bytes || bytes >= knobs.rendezvous_threshold;
     xmpi::World::run_ranked(2, [&](int rank) {
         std::vector<unsigned char> buf(bytes == 0 ? 1 : bytes);
         int const count = static_cast<int>(bytes);
@@ -260,8 +278,8 @@ int main(int argc, char** argv) {
     };
     Config const configs[] = {
         {8, small_warmup, small_rounds},      {64, small_warmup, small_rounds},
-        {256, small_warmup, small_rounds},    {64 * 1024, large_warmup, large_rounds},
-        {1024 * 1024, large_warmup, large_rounds},
+        {256, small_warmup, small_rounds},    {4 * 1024, small_warmup, small_rounds},
+        {64 * 1024, large_warmup, large_rounds}, {1024 * 1024, large_warmup, large_rounds},
     };
 
     std::printf(

@@ -68,18 +68,6 @@ inline constexpr std::size_t rd_allgather_max_bytes = 32 * 1024;
 /// rounds, bytes forwarded through intermediate nodes) beats the root's
 /// linear direct sends.
 inline constexpr std::size_t binomial_scatter_max_bytes = 16 * 1024;
-/// Largest element payload for which the two-level hierarchical allreduce
-/// (intra-node reduce, leader-level recursive doubling, intra-node bcast)
-/// is preferred over flat recursive doubling when a node grouping
-/// (XMPI_NODE_SIZE) is active: the hierarchy roughly halves the total
-/// message count but adds tree depth, a trade that pays off while messages
-/// are latency-bound.
-inline constexpr std::size_t hier_allreduce_max_bytes = 4096;
-/// Largest per-rank block for which the two-level hierarchical allgather
-/// (intra-node gather, leader ring over node super-blocks, intra-node
-/// bcast) is preferred over the flat algorithms when a node grouping is
-/// active; beyond it the full-buffer intra-node bcast dominates.
-inline constexpr std::size_t hier_allgather_max_bytes = 32 * 1024;
 } // namespace tuning
 
 } // namespace xmpi

@@ -92,6 +92,54 @@ inline constexpr std::size_t num_calls = static_cast<std::size_t>(Call::count_);
 /// and gcc warns on it).
 inline constexpr std::size_t kCounterCacheLine = 64;
 
+/// @name The counter table
+/// One X-macro list per cache-line group; RankCounters, its reset(),
+/// Snapshot and the snapshot copy are all generated from these lists, so a
+/// counter is declared exactly once. Each list expands X(name) per counter.
+/// @{
+/// Sender-side hot counters (bumped on every send/publish).
+#define XMPI_SENDER_COUNTERS(X)                                                          \
+    X(messages_sent)                                                                     \
+    X(bytes_sent)                                                                        \
+    X(fastpath_sends)          /* contiguous sends on the ring fast path */              \
+    X(ring_enqueues)           /* ring slots published */                                \
+    X(coalesced_sends)         /* small sends appended to an open batch */               \
+    X(ring_full_fallbacks)     /* locked bypass deliveries (ring full) */                \
+    X(pool_hits)               /* payload buffers reused from the pool */                \
+    X(pool_misses)             /* payload buffers heap-allocated */                      \
+    X(reserved_payload_reuses) /* persistent-send slot buffers recycled */
+
+/// Consumer-side hot counters (bumped when this rank drains/claims).
+#define XMPI_CONSUMER_COUNTERS(X)                                                        \
+    X(rendezvous_transfers) /* descriptors claimed zero-copy */                          \
+    X(bytes_zero_copied)    /* payload bytes moved without staging (both sides) */
+
+/// Cold counters: progress engine (progress.hpp), one-sided RMA (win.hpp),
+/// scheduler (apps/kasched; bumped by the app layer), elastic worlds
+/// (elastic.hpp).
+#define XMPI_COLD_COUNTERS(X)                                                            \
+    X(engine_tasks)                   /* tasks enqueued on the engine */                 \
+    X(engine_inline_fallbacks)        /* full queue: ran inline at initiation */         \
+    X(engine_queue_depth_max)         /* deepest queue observed at enqueue */            \
+    X(engine_caller_steals)           /* tasks run by waiting/polling callers */         \
+    X(engine_incomplete_destructions) /* requests freed before completion */             \
+    X(rma_puts)                       /* puts initiated (excl. PROC_NULL no-ops) */      \
+    X(rma_gets)                       /* gets initiated (excl. PROC_NULL no-ops) */      \
+    X(rma_accumulates)                /* accumulates applied */                          \
+    X(rma_atomics)                    /* fetch_and_op + compare_and_swap applied */      \
+    X(rma_bytes_zero_copied)          /* RMA bytes moved without staging */              \
+    X(rma_epoch_waits)                /* fences + blocking lock acquisitions */          \
+    X(sched_steals_attempted)         /* remote steal probes issued */                   \
+    X(sched_steals_succeeded)         /* probes that claimed a task */                   \
+    X(sched_tasks_executed)           /* tasks this rank ran to completion */            \
+    X(sched_requeue_after_failure)    /* tasks re-queued off a dead owner */             \
+    X(stale_epoch_drops)              /* messages dropped for a superseded epoch */      \
+    X(epoch_transitions)              /* membership transitions this rank produced */
+
+#define XMPI_ALL_COUNTERS(X)                                                             \
+    XMPI_SENDER_COUNTERS(X) XMPI_CONSUMER_COUNTERS(X) XMPI_COLD_COUNTERS(X)
+/// @}
+
 /// @brief Counters of one rank. Atomics allow cross-thread snapshots.
 ///
 /// The hot transport counters are grouped by writer and each group is
@@ -99,127 +147,36 @@ inline constexpr std::size_t kCounterCacheLine = 64;
 /// by its own thread *and* by progress-engine workers acting for it, so
 /// without the padding the sender-side group (bumped on every publish) and
 /// the consumer-side group (bumped on every drain) would false-share one
-/// line and the ring fast path would ping-pong it between cores.
+/// line and the ring fast path would ping-pong it between cores. The
+/// alignas before each list applies to the group's first counter.
 struct RankCounters {
+#define XMPI_DECLARE_COUNTER(name) std::atomic<std::uint64_t> name{0};
     std::array<std::atomic<std::uint64_t>, num_calls> calls{};
-    /// @name Sender-side hot counters (bumped on every send/publish)
-    /// @{
-    alignas(kCounterCacheLine) std::atomic<std::uint64_t> messages_sent{0};
-    std::atomic<std::uint64_t> bytes_sent{0};
-    std::atomic<std::uint64_t> fastpath_sends{0};  ///< contiguous sends on the ring fast path
-    std::atomic<std::uint64_t> ring_enqueues{0};   ///< ring slots published
-    std::atomic<std::uint64_t> coalesced_sends{0}; ///< small sends appended to an open batch
-    std::atomic<std::uint64_t> ring_full_fallbacks{0}; ///< locked bypass deliveries (ring full)
-    std::atomic<std::uint64_t> pool_hits{0};           ///< payload buffers reused from the pool
-    std::atomic<std::uint64_t> pool_misses{0};         ///< payload buffers heap-allocated
-    std::atomic<std::uint64_t> reserved_payload_reuses{0}; ///< persistent-send slot buffers recycled
-    /// @}
-    /// @name Consumer-side hot counters (bumped when this rank drains/claims)
-    /// @{
-    alignas(kCounterCacheLine) std::atomic<std::uint64_t> rendezvous_transfers{0}; ///< descriptors claimed zero-copy
-    std::atomic<std::uint64_t> bytes_zero_copied{0}; ///< payload bytes moved without staging (both sides)
-    /// @}
-    /// @name Progress-engine counters (see progress.hpp)
-    /// @{
-    alignas(kCounterCacheLine)
-    std::atomic<std::uint64_t> engine_tasks{0};            ///< tasks enqueued on the engine
-    std::atomic<std::uint64_t> engine_inline_fallbacks{0}; ///< full queue: ran inline at initiation
-    std::atomic<std::uint64_t> engine_queue_depth_max{0};  ///< deepest queue observed at enqueue
-    std::atomic<std::uint64_t> engine_caller_steals{0};    ///< tasks run by waiting/polling callers
-    std::atomic<std::uint64_t> engine_incomplete_destructions{0}; ///< requests freed before completion
-    /// @}
-    /// @name One-sided (RMA) counters (see win.hpp)
-    /// @{
-    std::atomic<std::uint64_t> rma_puts{0};         ///< puts initiated (excl. PROC_NULL no-ops)
-    std::atomic<std::uint64_t> rma_gets{0};         ///< gets initiated (excl. PROC_NULL no-ops)
-    std::atomic<std::uint64_t> rma_accumulates{0};  ///< accumulates applied
-    std::atomic<std::uint64_t> rma_atomics{0};      ///< fetch_and_op + compare_and_swap applied
-    std::atomic<std::uint64_t> rma_bytes_zero_copied{0}; ///< RMA bytes moved without staging
-    std::atomic<std::uint64_t> rma_epoch_waits{0};  ///< fences + blocking lock acquisitions
-    /// @}
-    /// @name Scheduler counters (see apps/kasched; bumped by the app layer)
-    /// @{
-    std::atomic<std::uint64_t> sched_steals_attempted{0}; ///< remote steal probes issued
-    std::atomic<std::uint64_t> sched_steals_succeeded{0}; ///< probes that claimed a task
-    std::atomic<std::uint64_t> sched_tasks_executed{0};   ///< tasks this rank ran to completion
-    std::atomic<std::uint64_t> sched_requeue_after_failure{0}; ///< tasks re-queued off a dead owner
-    /// @}
-    /// @name Elastic-world counters (see elastic.hpp)
-    /// @{
-    std::atomic<std::uint64_t> stale_epoch_drops{0}; ///< messages dropped for a superseded epoch
-    std::atomic<std::uint64_t> epoch_transitions{0}; ///< membership transitions this rank produced
-    /// @}
+    alignas(kCounterCacheLine) XMPI_SENDER_COUNTERS(XMPI_DECLARE_COUNTER)
+    alignas(kCounterCacheLine) XMPI_CONSUMER_COUNTERS(XMPI_DECLARE_COUNTER)
+    alignas(kCounterCacheLine) XMPI_COLD_COUNTERS(XMPI_DECLARE_COUNTER)
+#undef XMPI_DECLARE_COUNTER
 
     void reset() {
         for (auto& counter: calls) {
             counter.store(0, std::memory_order_relaxed);
         }
-        messages_sent.store(0, std::memory_order_relaxed);
-        bytes_sent.store(0, std::memory_order_relaxed);
-        fastpath_sends.store(0, std::memory_order_relaxed);
-        ring_enqueues.store(0, std::memory_order_relaxed);
-        coalesced_sends.store(0, std::memory_order_relaxed);
-        ring_full_fallbacks.store(0, std::memory_order_relaxed);
-        rendezvous_transfers.store(0, std::memory_order_relaxed);
-        bytes_zero_copied.store(0, std::memory_order_relaxed);
-        pool_hits.store(0, std::memory_order_relaxed);
-        pool_misses.store(0, std::memory_order_relaxed);
-        reserved_payload_reuses.store(0, std::memory_order_relaxed);
-        engine_tasks.store(0, std::memory_order_relaxed);
-        engine_inline_fallbacks.store(0, std::memory_order_relaxed);
-        engine_queue_depth_max.store(0, std::memory_order_relaxed);
-        engine_caller_steals.store(0, std::memory_order_relaxed);
-        engine_incomplete_destructions.store(0, std::memory_order_relaxed);
-        rma_puts.store(0, std::memory_order_relaxed);
-        rma_gets.store(0, std::memory_order_relaxed);
-        rma_accumulates.store(0, std::memory_order_relaxed);
-        rma_atomics.store(0, std::memory_order_relaxed);
-        rma_bytes_zero_copied.store(0, std::memory_order_relaxed);
-        rma_epoch_waits.store(0, std::memory_order_relaxed);
-        sched_steals_attempted.store(0, std::memory_order_relaxed);
-        sched_steals_succeeded.store(0, std::memory_order_relaxed);
-        sched_tasks_executed.store(0, std::memory_order_relaxed);
-        sched_requeue_after_failure.store(0, std::memory_order_relaxed);
-        stale_epoch_drops.store(0, std::memory_order_relaxed);
-        epoch_transitions.store(0, std::memory_order_relaxed);
+#define XMPI_RESET_COUNTER(name) name.store(0, std::memory_order_relaxed);
+        XMPI_ALL_COUNTERS(XMPI_RESET_COUNTER)
+#undef XMPI_RESET_COUNTER
     }
 };
 
 /// @brief Plain (non-atomic) snapshot of one rank's counters.
 struct Snapshot {
     std::array<std::uint64_t, num_calls> calls{};
-    std::uint64_t messages_sent = 0;
-    std::uint64_t bytes_sent = 0;
-    std::uint64_t fastpath_sends = 0;
-    std::uint64_t ring_enqueues = 0;
-    std::uint64_t coalesced_sends = 0;
-    std::uint64_t ring_full_fallbacks = 0;
-    std::uint64_t rendezvous_transfers = 0;
-    std::uint64_t bytes_zero_copied = 0;
-    std::uint64_t pool_hits = 0;
-    std::uint64_t pool_misses = 0;
-    std::uint64_t reserved_payload_reuses = 0;
-    std::uint64_t engine_tasks = 0;
-    std::uint64_t engine_inline_fallbacks = 0;
-    std::uint64_t engine_queue_depth_max = 0;
-    std::uint64_t engine_caller_steals = 0;
-    std::uint64_t engine_incomplete_destructions = 0;
+#define XMPI_DECLARE_SNAPSHOT_FIELD(name) std::uint64_t name = 0;
+    XMPI_ALL_COUNTERS(XMPI_DECLARE_SNAPSHOT_FIELD)
+#undef XMPI_DECLARE_SNAPSHOT_FIELD
     /// Always 0: the progress engine grows no temporary workers (a blocked
     /// rank runs the queued task a peer's executing task waits on before it
     /// parks, see progress.hpp). Kept because existing readers consume it.
     std::uint64_t engine_stall_escalations = 0;
-    std::uint64_t rma_puts = 0;
-    std::uint64_t rma_gets = 0;
-    std::uint64_t rma_accumulates = 0;
-    std::uint64_t rma_atomics = 0;
-    std::uint64_t rma_bytes_zero_copied = 0;
-    std::uint64_t rma_epoch_waits = 0;
-    std::uint64_t sched_steals_attempted = 0;
-    std::uint64_t sched_steals_succeeded = 0;
-    std::uint64_t sched_tasks_executed = 0;
-    std::uint64_t sched_requeue_after_failure = 0;
-    std::uint64_t stale_epoch_drops = 0;
-    std::uint64_t epoch_transitions = 0;
 
     [[nodiscard]] std::uint64_t operator[](Call call) const {
         return calls[static_cast<std::size_t>(call)];

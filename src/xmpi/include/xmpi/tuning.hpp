@@ -85,16 +85,14 @@ struct Transport {
 // select(). Selection layers, strongest first:
 //
 //   1. an explicit force (coll().force_algorithm — benches and tests),
-//   2. a loaded tuning table cell (op, p, size bucket) — measured data,
-//   3. the alpha/beta network model (argmin modeled cost), when active,
-//   4. the static preference thresholds baked into each algorithm entry.
+//   2. the alpha/beta network model (argmin modeled cost), when active,
+//   3. the static preference thresholds baked into each algorithm entry.
 //
-// Hard correctness constraints (op commutativity, power-of-two rank counts,
-// hierarchy requiring p > node size) live in each entry's applicable()
-// predicate and can never be overridden by a table or a force.
+// Hard correctness constraints (op commutativity, power-of-two rank counts)
+// live in each entry's applicable() predicate and can never be overridden by
+// a force.
 
-/// @brief The collective operations with registry entries. Order is part of
-/// the tuning-table format (cells name ops by coll_op_name()).
+/// @brief The collective operations with registry entries.
 enum class CollOp : int {
     barrier,
     bcast,
@@ -112,15 +110,7 @@ enum class CollOp : int {
     allreduce,
     reduce_scatter,
     scan,
-    count_ ///< number of entries; keep last
 };
-
-inline constexpr std::size_t num_coll_ops = static_cast<std::size_t>(CollOp::count_);
-
-/// @brief Stable lower-case name of a collective op ("allreduce", ...).
-[[nodiscard]] char const* coll_op_name(CollOp op);
-/// @brief Parses a coll_op_name(); returns CollOp::count_ when unknown.
-[[nodiscard]] CollOp coll_op_from_name(char const* name);
 
 /// @brief Everything selection may depend on. Built by the collective entry
 /// points from the live communicator; benches and tests construct it
@@ -137,7 +127,6 @@ struct SelectCtx {
 /// @brief Outcome of one selection.
 struct Selection {
     char const* algorithm = "";   ///< registry entry name (static storage)
-    bool from_table = false;      ///< a measured tuning-table cell decided
     bool forced = false;          ///< coll().force_algorithm decided
 };
 
@@ -146,18 +135,11 @@ struct Selection {
 [[nodiscard]] Selection select(CollOp op, SelectCtx const& ctx);
 
 /// @brief Names of all entries applicable to (op, ctx), strongest preference
-/// first. The sweep harness iterates these to measure every candidate.
+/// first.
 [[nodiscard]] std::vector<char const*> candidates(CollOp op, SelectCtx const& ctx);
 
-/// @brief Collective-selection knobs (environment-seeded like Transport).
+/// @brief Collective-selection knobs.
 struct Coll {
-    /// Topology grouping: ranks [i*node_size, (i+1)*node_size) form "node" i
-    /// for the two-level hierarchical collectives. 0 disables hierarchy,
-    /// -1 means "auto" (ceil(sqrt p), the grid plugin's decomposition);
-    /// values >= 2 are explicit group sizes. Env: XMPI_NODE_SIZE (number or
-    /// "auto"; 1 is clamped to 2, malformed values keep the default 0).
-    int node_size = 0;
-
     /// When non-null, select() returns this entry if it is applicable to the
     /// op at hand (benches force one candidate at a time). Must point at a
     /// string with static storage duration. Atomic: a harness may flip the
@@ -165,37 +147,7 @@ struct Coll {
     std::atomic<char const*> force_algorithm{nullptr};
 };
 
-/// @brief The process-wide collective knobs; on first use, XMPI_NODE_SIZE is
-/// parsed and a table named by XMPI_TUNING_TABLE is loaded.
+/// @brief The process-wide collective knobs.
 [[nodiscard]] Coll& coll();
-
-/// @brief Resolves the node grouping for a p-rank communicator: the
-/// effective group size in [2, p), or 0 when hierarchy is disabled (knob
-/// unset, or the grouping would be trivial — one node, or one rank per
-/// group would not be trivial but g >= p means a single node).
-[[nodiscard]] int node_size_for(int p);
-
-/// @brief Parses an XMPI_NODE_SIZE value: "auto" -> -1, numbers >= 2 kept,
-/// 1 -> warn + clamp to 2, 0 -> 0, malformed/negative -> warn + fallback.
-/// Exposed so the warn+clamp sweep is testable without re-execing.
-[[nodiscard]] int parse_node_size(char const* text, int fallback);
-
-/// @name Measured tuning table
-/// @{
-/// @brief Loads a tuning table (JSON, see docs/API.md) replacing any loaded
-/// one. Returns false — leaving no table loaded — on a missing file or
-/// malformed JSON (a warning names the problem; selection falls back to the
-/// model). The env path XMPI_TUNING_TABLE is loaded on first coll() use.
-bool load_tuning_table(char const* path);
-/// @brief Drops the loaded table; selection falls back to the model.
-void unload_tuning_table();
-/// @brief True iff a table with at least one cell is loaded.
-[[nodiscard]] bool tuning_table_loaded();
-/// @brief The table's algorithm for (op, p, bytes), or nullptr when no cell
-/// covers the point. Exact-p cells beat wildcard (p == 0) cells; among
-/// covering size buckets the smallest max_bytes wins (max_bytes == 0 is the
-/// unbounded bucket).
-[[nodiscard]] char const* table_algorithm(CollOp op, int p, std::size_t bytes);
-/// @}
 
 } // namespace xmpi::tuning

@@ -16,11 +16,9 @@ namespace xmpi::detail {
 std::vector<CollAlgo> const& coll_registry() {
     // Function-local static: the registrations run exactly once, on the
     // first collective of the process, with no static-initialization-order
-    // hazard. Hierarchical entries register FIRST so they lead the
-    // preference walk of the ops they specialize.
+    // hazard.
     static std::vector<CollAlgo> const registry = [] {
         std::vector<CollAlgo> entries;
-        register_hier_algos(entries);
         register_basic_algos(entries);
         register_reduce_algos(entries);
         register_gather_algos(entries);
@@ -51,9 +49,9 @@ entry_applicable(CollAlgo const& entry, tuning::CollOp op, tuning::SelectCtx con
 CollAlgo const* select_coll_algo(
     tuning::CollOp op, tuning::SelectCtx const& sctx, tuning::Selection* selection) {
     auto const& registry = coll_registry();
-    auto const found = [&](CollAlgo const& entry, bool from_table, bool forced) {
+    auto const found = [&](CollAlgo const& entry, bool forced) {
         if (selection != nullptr) {
-            *selection = tuning::Selection{entry.name, from_table, forced};
+            *selection = tuning::Selection{entry.name, forced};
         }
         return &entry;
     };
@@ -64,24 +62,12 @@ CollAlgo const* select_coll_algo(
     if (char const* const force = tuning::coll().force_algorithm; force != nullptr) {
         for (auto const& entry: registry) {
             if (entry_applicable(entry, op, sctx) && std::strcmp(entry.name, force) == 0) {
-                return found(entry, false, true);
+                return found(entry, true);
             }
         }
     }
 
-    // Layer 2: a measured tuning-table cell.
-    if (tuning::tuning_table_loaded()) {
-        if (char const* const cell = tuning::table_algorithm(op, sctx.p, sctx.block_bytes);
-            cell != nullptr) {
-            for (auto const& entry: registry) {
-                if (entry_applicable(entry, op, sctx) && std::strcmp(entry.name, cell) == 0) {
-                    return found(entry, true, false);
-                }
-            }
-        }
-    }
-
-    // Layer 3: the alpha/beta model — argmin of modeled cost over the
+    // Layer 2: the alpha/beta model — argmin of modeled cost over the
     // applicable entries that have one (first registered wins ties, so the
     // more specialized algorithm is kept on equal-cost cells).
     if (sctx.model_enabled) {
@@ -98,15 +84,15 @@ CollAlgo const* select_coll_algo(
             }
         }
         if (best != nullptr) {
-            return found(*best, false, false);
+            return found(*best, false);
         }
     }
 
-    // Layer 4: static preference thresholds, in registration order.
+    // Layer 3: static preference thresholds, in registration order.
     for (auto const& entry: registry) {
         if (entry_applicable(entry, op, sctx)
             && (entry.preferred == nullptr || entry.preferred(sctx))) {
-            return found(entry, false, false);
+            return found(entry, false);
         }
     }
     // No entry preferred itself: the first applicable one (every op
@@ -114,7 +100,7 @@ CollAlgo const* select_coll_algo(
     // still fall through).
     for (auto const& entry: registry) {
         if (entry_applicable(entry, op, sctx)) {
-            return found(entry, false, false);
+            return found(entry, false);
         }
     }
     return nullptr;

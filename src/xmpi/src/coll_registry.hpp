@@ -8,20 +8,19 @@
 /// happens. Entries carry three predicates with distinct roles:
 ///
 ///   - applicable(): HARD correctness constraints (op commutativity,
-///     power-of-two rank counts, hierarchy needing a node grouping). Never
-///     overridden — not by the model, not by a tuning table, not by a force.
+///     power-of-two rank counts). Never overridden — not by the model, not
+///     by a force.
 ///   - preferred(): the static byte/rank thresholds of netmodel.hpp, used
-///     when no model, table, or force decides. Each threshold constant is
+///     when no model or force decides. Each threshold constant is
 ///     referenced from exactly one preferred() so there is a single source
 ///     of truth per constant.
 ///   - cost(): modeled alpha/beta seconds; when a network model is active
 ///     the applicable entry with the lowest modeled cost wins. Entries
-///     without a cost model (the hierarchical variants — a uniform
-///     alpha/beta model cannot see topology) simply never win this layer.
+///     without a cost model simply never win this layer.
 ///
 /// Registration order within one op is the preference order: the dispatcher
-/// walks entries front to back, so more specialized algorithms (hierarchical,
-/// then latency-optimal) register before the always-applicable fallback.
+/// walks entries front to back, so more specialized (latency-optimal)
+/// algorithms register before the always-applicable fallback.
 #pragma once
 
 #include <cstddef>
@@ -89,8 +88,8 @@ select_coll_algo(tuning::CollOp op, tuning::SelectCtx const& sctx, tuning::Selec
 
 /// @brief Runs one entry and notes its algorithm name for tracing. The note
 /// happens AFTER the run so composite algorithms (reduce_scatter's inner
-/// reduce + scatter, hierarchical phases) leave the *outermost* name in the
-/// thread-local slot for the binding layer to take.
+/// reduce + scatter) leave the *outermost* name in the thread-local slot for
+/// the binding layer to take.
 int run_coll_algo(CollAlgo const& algo, CollCtx& ctx);
 
 /// @brief select + run in one step: the standard tail of every entry point.
@@ -115,7 +114,6 @@ displaced(void const* base, std::ptrdiff_t elements, Datatype const& type);
 
 /// @name Per-TU registration hooks (called once from coll_registry())
 /// @{
-void register_hier_algos(std::vector<CollAlgo>& registry);     // coll_hier.cpp
 void register_basic_algos(std::vector<CollAlgo>& registry);    // coll_basic.cpp
 void register_reduce_algos(std::vector<CollAlgo>& registry);   // coll_reduce.cpp
 void register_gather_algos(std::vector<CollAlgo>& registry);   // coll_gather.cpp

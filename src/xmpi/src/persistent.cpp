@@ -272,8 +272,8 @@ Request* make_persistent_bcast(
     auto* comm_ptr = &comm;
     auto const* type_ptr = &type;
     // Algorithm selection is part of the binding: the entry chosen here
-    // (including from a tuning table loaded at init time) is replayed by
-    // every restart, so a round never re-consults select().
+    // (including one forced at init time) is replayed by every restart, so a
+    // round never re-consults select().
     CollAlgo const* const algo = select_coll_algo(
         tuning::CollOp::bcast, make_select_ctx(comm, type.packed_size(count)), nullptr);
     return new PersistentCollRequest(

@@ -1,14 +1,7 @@
 #include "xmpi/tuning.hpp"
 
-#include <cctype>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <fstream>
-#include <mutex>
-#include <sstream>
-#include <string>
 #include <thread>
 
 namespace xmpi::tuning {
@@ -121,394 +114,9 @@ int spin_budget() {
 
 int yield_budget() { return transport().yield_before_block; }
 
-// ---------------------------------------------------------------------------
-// Collective-selection knobs (node grouping + measured tuning table)
-// ---------------------------------------------------------------------------
-
-char const* coll_op_name(CollOp op) {
-    switch (op) {
-        case CollOp::barrier: return "barrier";
-        case CollOp::bcast: return "bcast";
-        case CollOp::gather: return "gather";
-        case CollOp::gatherv: return "gatherv";
-        case CollOp::scatter: return "scatter";
-        case CollOp::scatterv: return "scatterv";
-        case CollOp::allgather: return "allgather";
-        case CollOp::allgatherv: return "allgatherv";
-        case CollOp::alltoall: return "alltoall";
-        case CollOp::alltoallv: return "alltoallv";
-        case CollOp::alltoallw: return "alltoallw";
-        case CollOp::neighbor_alltoallv: return "neighbor_alltoallv";
-        case CollOp::reduce: return "reduce";
-        case CollOp::allreduce: return "allreduce";
-        case CollOp::reduce_scatter: return "reduce_scatter";
-        case CollOp::scan: return "scan";
-        case CollOp::count_: break;
-    }
-    return "?";
-}
-
-CollOp coll_op_from_name(char const* name) {
-    for (std::size_t i = 0; i < num_coll_ops; ++i) {
-        auto const op = static_cast<CollOp>(i);
-        if (std::strcmp(coll_op_name(op), name) == 0) {
-            return op;
-        }
-    }
-    return CollOp::count_;
-}
-
-int parse_node_size(char const* text, int fallback) {
-    if (text == nullptr || *text == '\0') {
-        return fallback;
-    }
-    if (std::strcmp(text, "auto") == 0) {
-        return -1;
-    }
-    char* end = nullptr;
-    long const value = std::strtol(text, &end, 10);
-    if (end == text || *end != '\0' || value < 0) {
-        std::fprintf(
-            stderr, "xmpi: ignoring malformed XMPI_NODE_SIZE=\"%s\" (keeping %d)\n", text,
-            fallback);
-        return fallback;
-    }
-    if (value == 1) {
-        // A group size of 1 makes every rank its own leader — structurally
-        // the flat algorithm with extra bookkeeping. Clamp like the other
-        // below-minimum knobs instead of silently honoring it.
-        std::fprintf(stderr, "xmpi: XMPI_NODE_SIZE=1 below minimum, clamping to 2\n");
-        return 2;
-    }
-    return static_cast<int>(value);
-}
-
-namespace {
-
-/// @brief One measured tuning-table cell: for communicator size @c p
-/// (0 = any) and packed block sizes up to @c max_bytes (0 = unbounded), run
-/// @c algorithm. The algorithm string is owned by the table storage; select()
-/// resolves it against the registry's static names before use.
-struct TableCell {
-    std::string op;
-    int p = 0;
-    std::size_t max_bytes = 0;
-    std::string algorithm;
-};
-
-struct TuningTable {
-    std::vector<TableCell> cells;
-};
-
-std::mutex g_table_mutex;
-TuningTable g_table; // guarded by g_table_mutex; empty = no table
-
-// --- Minimal JSON reader (objects/arrays/strings/numbers/bool/null) --------
-//
-// The table schema is tiny and external JSON dependencies are off the menu;
-// this is a tolerant recursive-descent reader that only materializes the
-// values the schema needs and skips everything else.
-
-struct JsonReader {
-    char const* cursor;
-    char const* end;
-    bool ok = true;
-
-    void skip_ws() {
-        while (cursor < end && std::isspace(static_cast<unsigned char>(*cursor)) != 0) {
-            ++cursor;
-        }
-    }
-
-    bool consume(char expected) {
-        skip_ws();
-        if (cursor < end && *cursor == expected) {
-            ++cursor;
-            return true;
-        }
-        ok = false;
-        return false;
-    }
-
-    [[nodiscard]] char peek() {
-        skip_ws();
-        return cursor < end ? *cursor : '\0';
-    }
-
-    bool parse_string(std::string& out) {
-        if (!consume('"')) {
-            return false;
-        }
-        out.clear();
-        while (cursor < end && *cursor != '"') {
-            if (*cursor == '\\' && cursor + 1 < end) {
-                ++cursor; // keep escaped char verbatim; the schema has no exotic escapes
-            }
-            out.push_back(*cursor++);
-        }
-        return consume('"');
-    }
-
-    bool parse_number(double& out) {
-        skip_ws();
-        char* num_end = nullptr;
-        out = std::strtod(cursor, &num_end);
-        if (num_end == cursor) {
-            ok = false;
-            return false;
-        }
-        cursor = num_end;
-        return true;
-    }
-
-    /// @brief Skips any JSON value (used for unknown keys).
-    bool skip_value() {
-        switch (peek()) {
-            case '"': {
-                std::string ignored;
-                return parse_string(ignored);
-            }
-            case '{': {
-                consume('{');
-                if (peek() == '}') {
-                    return consume('}');
-                }
-                do {
-                    std::string key;
-                    if (!parse_string(key) || !consume(':') || !skip_value()) {
-                        return false;
-                    }
-                } while (peek() == ',' && consume(','));
-                return consume('}');
-            }
-            case '[': {
-                consume('[');
-                if (peek() == ']') {
-                    return consume(']');
-                }
-                do {
-                    if (!skip_value()) {
-                        return false;
-                    }
-                } while (peek() == ',' && consume(','));
-                return consume(']');
-            }
-            case 't':
-            case 'f':
-            case 'n': {
-                while (cursor < end && std::isalpha(static_cast<unsigned char>(*cursor)) != 0) {
-                    ++cursor;
-                }
-                return true;
-            }
-            default: {
-                double ignored = 0.0;
-                return parse_number(ignored);
-            }
-        }
-    }
-
-    bool parse_cell(TableCell& cell) {
-        if (!consume('{')) {
-            return false;
-        }
-        if (peek() == '}') {
-            return consume('}');
-        }
-        do {
-            std::string key;
-            if (!parse_string(key) || !consume(':')) {
-                return false;
-            }
-            if (key == "op") {
-                if (!parse_string(cell.op)) {
-                    return false;
-                }
-            } else if (key == "algorithm") {
-                if (!parse_string(cell.algorithm)) {
-                    return false;
-                }
-            } else if (key == "p") {
-                double value = 0.0;
-                if (!parse_number(value) || value < 0) {
-                    return false;
-                }
-                cell.p = static_cast<int>(value);
-            } else if (key == "max_bytes") {
-                double value = 0.0;
-                if (!parse_number(value) || value < 0) {
-                    return false;
-                }
-                cell.max_bytes = static_cast<std::size_t>(value);
-            } else if (!skip_value()) {
-                return false;
-            }
-        } while (peek() == ',' && consume(','));
-        return consume('}');
-    }
-
-    bool parse_table(TuningTable& table) {
-        if (!consume('{')) {
-            return false;
-        }
-        if (peek() == '}') {
-            return consume('}');
-        }
-        do {
-            std::string key;
-            if (!parse_string(key) || !consume(':')) {
-                return false;
-            }
-            if (key == "cells") {
-                if (!consume('[')) {
-                    return false;
-                }
-                if (peek() == ']') {
-                    consume(']');
-                    continue;
-                }
-                do {
-                    TableCell cell;
-                    if (!parse_cell(cell)) {
-                        return false;
-                    }
-                    table.cells.push_back(std::move(cell));
-                } while (peek() == ',' && consume(','));
-                if (!consume(']')) {
-                    return false;
-                }
-            } else if (!skip_value()) {
-                return false;
-            }
-        } while (peek() == ',' && consume(','));
-        return consume('}');
-    }
-};
-
-void seed_coll_from_env(Coll& knobs) {
-    knobs.node_size = parse_node_size(std::getenv("XMPI_NODE_SIZE"), knobs.node_size);
-    if (char const* const path = std::getenv("XMPI_TUNING_TABLE");
-        path != nullptr && *path != '\0') {
-        (void)load_tuning_table(path); // warns on failure, falls back to model
-    }
-}
-
-} // namespace
-
 Coll& coll() {
-    // Seeded in place: the atomic force_algorithm member makes Coll
-    // non-copyable, and the lambda runs exactly once under the static-init
-    // guard.
     static Coll knobs;
-    static bool const seeded = [] {
-        seed_coll_from_env(knobs);
-        return true;
-    }();
-    (void)seeded;
     return knobs;
-}
-
-int node_size_for(int p) {
-    int configured = coll().node_size;
-    if (configured == -1) {
-        // The grid plugin's decomposition: ceil(sqrt p) groups the ranks into
-        // ~sqrt(p) nodes of ~sqrt(p) ranks — the shape that bounds both the
-        // intra- and inter-level fan-out by sqrt(p).
-        configured = static_cast<int>(std::ceil(std::sqrt(static_cast<double>(p))));
-    }
-    if (configured < 2 || configured >= p) {
-        return 0; // hierarchy degenerate: a single node, or no grouping at all
-    }
-    return configured;
-}
-
-bool load_tuning_table(char const* path) {
-    std::ifstream file(path);
-    if (!file) {
-        std::fprintf(stderr, "xmpi: cannot open tuning table \"%s\"; using the model\n", path);
-        return false;
-    }
-    std::ostringstream content;
-    content << file.rdbuf();
-    std::string const text = content.str();
-
-    TuningTable parsed;
-    JsonReader reader{text.data(), text.data() + text.size()};
-    if (!reader.parse_table(parsed) || !reader.ok) {
-        std::fprintf(
-            stderr, "xmpi: malformed tuning table \"%s\" (offset %td); using the model\n", path,
-            reader.cursor - text.data());
-        return false;
-    }
-    // Cells missing a field the lookup needs are dropped (with a warning)
-    // rather than poisoning the whole table.
-    std::vector<TableCell> usable;
-    for (auto& cell: parsed.cells) {
-        if (cell.op.empty() || cell.algorithm.empty()) {
-            std::fprintf(
-                stderr, "xmpi: tuning table \"%s\": dropping cell without op/algorithm\n", path);
-            continue;
-        }
-        if (coll_op_from_name(cell.op.c_str()) == CollOp::count_) {
-            std::fprintf(
-                stderr, "xmpi: tuning table \"%s\": dropping cell for unknown op \"%s\"\n", path,
-                cell.op.c_str());
-            continue;
-        }
-        usable.push_back(std::move(cell));
-    }
-    std::lock_guard lock(g_table_mutex);
-    g_table.cells = std::move(usable);
-    return !g_table.cells.empty();
-}
-
-void unload_tuning_table() {
-    std::lock_guard lock(g_table_mutex);
-    g_table.cells.clear();
-}
-
-bool tuning_table_loaded() {
-    std::lock_guard lock(g_table_mutex);
-    return !g_table.cells.empty();
-}
-
-char const* table_algorithm(CollOp op, int p, std::size_t bytes) {
-    char const* const name = coll_op_name(op);
-    std::lock_guard lock(g_table_mutex);
-    TableCell const* best = nullptr;
-    for (auto const& cell: g_table.cells) {
-        if (cell.op != name) {
-            continue;
-        }
-        if (cell.p != 0 && cell.p != p) {
-            continue;
-        }
-        if (cell.max_bytes != 0 && bytes > cell.max_bytes) {
-            continue;
-        }
-        if (best == nullptr) {
-            best = &cell;
-            continue;
-        }
-        // Exact-p beats wildcard; then the tightest covering size bucket.
-        bool const cell_exact = cell.p != 0;
-        bool const best_exact = best->p != 0;
-        if (cell_exact != best_exact) {
-            if (cell_exact) {
-                best = &cell;
-            }
-            continue;
-        }
-        auto const bucket = [](std::size_t max_bytes) {
-            return max_bytes == 0 ? static_cast<std::size_t>(-1) : max_bytes;
-        };
-        if (bucket(cell.max_bytes) < bucket(best->max_bytes)) {
-            best = &cell;
-        }
-    }
-    // The pointer stays valid until the next load/unload; select() resolves
-    // it against a registry entry (static storage) before letting it escape.
-    return best != nullptr ? best->algorithm.c_str() : nullptr;
 }
 
 } // namespace xmpi::tuning

@@ -286,6 +286,9 @@ TEST_F(ProgressTest, ChaosKillLeavesQueuedTasksFailedNotRun) {
         XMPI_Comm second_comm = XMPI_COMM_NULL;
         ASSERT_EQ(XMPI_Comm_dup(XMPI_COMM_WORLD, &first_comm), XMPI_SUCCESS);
         ASSERT_EQ(XMPI_Comm_dup(XMPI_COMM_WORLD, &second_comm), XMPI_SUCCESS);
+        // Every rank leaves both dups before rank 2 can reach its fatal
+        // second iallreduce; otherwise its death fails a peer's dup.
+        ASSERT_EQ(XMPI_Barrier(XMPI_COMM_WORLD), XMPI_SUCCESS);
 
         first_send[rank] = rank + 1;
         second_send[rank] = (rank + 1) * 10;

@@ -3,8 +3,8 @@
 /// coalescing into batch slots, the locked overflow bypass when a ring
 /// fills, receiver-pulled rendezvous (zero-copy claim and eager fallback),
 /// and sender death mid-rendezvous. The wildcard stress tests here are the
-/// designated TSan targets for the ring protocol (see the tsan-transport
-/// preset): many concurrent producers against one consumer, with matching
+/// designated TSan targets for the ring protocol (ctest --preset tsan
+/// -L xmpi_transport): many concurrent producers against one consumer, with matching
 /// spread across exact buckets and the wildcard list.
 #include <gtest/gtest.h>
 

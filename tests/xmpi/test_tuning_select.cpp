@@ -1,11 +1,9 @@
 /// @file test_tuning_select.cpp
-/// @brief The collective-algorithm registry: the four selection layers
-/// (force, tuning table, alpha/beta model, static preference), hierarchical
-/// gating on the node grouping, env-knob parsing, and recovery when a
-/// hierarchy leader dies mid-collective.
+/// @brief The collective-algorithm registry: the three selection layers
+/// (force, alpha/beta model, static preference) and the algorithm a
+/// persistent plan captures at init.
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -14,18 +12,15 @@
 namespace {
 
 namespace tuning = xmpi::tuning;
-namespace chaos = xmpi::chaos;
 using tuning::CollOp;
 using xmpi::World;
 
 /// @brief Every test leaves the process-wide selection knobs as it found
-/// them: node grouping off, no force, no table.
+/// them: no force.
 class TuningSelect : public ::testing::Test {
 protected:
     void TearDown() override {
-        tuning::coll().node_size = 0;
         tuning::coll().force_algorithm = nullptr;
-        tuning::unload_tuning_table();
         xmpi::profile::set_tracing_enabled(false);
     }
 };
@@ -45,7 +40,7 @@ std::string pick(CollOp op, tuning::SelectCtx const& ctx) {
 }
 
 // ---------------------------------------------------------------------------
-// Layer 4: the static preference matrix (no model, no table, no force)
+// Layer 3: the static preference matrix (no model, no force)
 // ---------------------------------------------------------------------------
 
 TEST_F(TuningSelect, DefaultMatrixReproducesTheThresholds) {
@@ -82,7 +77,6 @@ TEST_F(TuningSelect, DefaultMatrixReproducesTheThresholds) {
 
     // No layer above fired.
     auto const selection = tuning::select(CollOp::alltoall, ctx_of(8, 64));
-    EXPECT_FALSE(selection.from_table);
     EXPECT_FALSE(selection.forced);
 }
 
@@ -92,18 +86,13 @@ TEST_F(TuningSelect, CandidatesListApplicableEntriesInPreferenceOrder) {
     EXPECT_STREQ(flat[0], "recursive_doubling");
     EXPECT_STREQ(flat[1], "ring");
 
-    tuning::coll().node_size = 4;
-    auto const hier = tuning::candidates(CollOp::allgather, ctx_of(8, 1024));
-    ASSERT_EQ(hier.size(), 3u);
-    EXPECT_STREQ(hier[0], "hier_ring") << "hierarchical entries lead the walk";
-
     auto const noncomm = tuning::candidates(CollOp::reduce, ctx_of(8, 64, false));
     ASSERT_EQ(noncomm.size(), 1u);
     EXPECT_STREQ(noncomm[0], "linear");
 }
 
 // ---------------------------------------------------------------------------
-// Layer 3: the alpha/beta model (argmin over modeled costs)
+// Layer 2: the alpha/beta model (argmin over modeled costs)
 // ---------------------------------------------------------------------------
 
 TEST_F(TuningSelect, ModelArgminOverridesTheStaticThresholds) {
@@ -131,162 +120,6 @@ TEST_F(TuningSelect, ModelArgminOverridesTheStaticThresholds) {
 }
 
 // ---------------------------------------------------------------------------
-// Hierarchical gating: node grouping + payload preference
-// ---------------------------------------------------------------------------
-
-TEST_F(TuningSelect, HierEntriesActivateOnlyUnderANodeGrouping) {
-    // Default: no grouping, flat algorithms.
-    EXPECT_EQ(pick(CollOp::allreduce, ctx_of(16, 64)), "recursive_doubling");
-    EXPECT_EQ(pick(CollOp::bcast, ctx_of(16, 64)), "binomial");
-
-    tuning::coll().node_size = 4;
-    EXPECT_EQ(pick(CollOp::allreduce, ctx_of(16, 64)), "hier_recursive_doubling");
-    EXPECT_EQ(pick(CollOp::bcast, ctx_of(16, 64)), "hier_binomial");
-    EXPECT_EQ(pick(CollOp::allgather, ctx_of(16, 1024)), "hier_ring");
-
-    // Past the latency-bound window the flat algorithms take over again.
-    EXPECT_EQ(
-        pick(CollOp::allreduce, ctx_of(16, tuning::hier_allreduce_max_bytes + 1)),
-        "recursive_doubling");
-    EXPECT_EQ(
-        pick(CollOp::allgather, ctx_of(16, tuning::hier_allgather_max_bytes + 1)), "ring");
-
-    // Non-commutative reductions never go hierarchical (reduce_over folds
-    // out of order).
-    EXPECT_EQ(pick(CollOp::allreduce, ctx_of(16, 64, false)), "reduce_bcast");
-
-    // A grouping that degenerates (g >= p: one node) disables hierarchy.
-    EXPECT_EQ(pick(CollOp::allreduce, ctx_of(4, 64)), "recursive_doubling");
-    EXPECT_EQ(pick(CollOp::bcast, ctx_of(3, 64)), "binomial");
-}
-
-TEST_F(TuningSelect, NodeSizeResolution) {
-    EXPECT_EQ(tuning::node_size_for(16), 0) << "grouping disabled by default";
-
-    tuning::coll().node_size = 4;
-    EXPECT_EQ(tuning::node_size_for(16), 4);
-    EXPECT_EQ(tuning::node_size_for(5), 4);
-    EXPECT_EQ(tuning::node_size_for(4), 0) << "g >= p is one node: no hierarchy";
-    EXPECT_EQ(tuning::node_size_for(2), 0);
-
-    tuning::coll().node_size = -1; // auto: the grid plugin's ceil(sqrt p)
-    EXPECT_EQ(tuning::node_size_for(16), 4);
-    EXPECT_EQ(tuning::node_size_for(10), 4);
-    EXPECT_EQ(tuning::node_size_for(5), 3);
-    EXPECT_EQ(tuning::node_size_for(4), 2);
-    EXPECT_EQ(tuning::node_size_for(2), 0) << "sqrt grouping trivial below p = 4";
-}
-
-TEST_F(TuningSelect, ParseNodeSizeWarnsAndClamps) {
-    EXPECT_EQ(tuning::parse_node_size("auto", 0), -1);
-    EXPECT_EQ(tuning::parse_node_size("8", 0), 8);
-    EXPECT_EQ(tuning::parse_node_size("0", 5), 0) << "explicit off";
-    EXPECT_EQ(tuning::parse_node_size("1", 0), 2) << "1 is clamped to the smallest group";
-    EXPECT_EQ(tuning::parse_node_size("banana", 7), 7) << "malformed keeps the fallback";
-    EXPECT_EQ(tuning::parse_node_size("-3", 7), 7) << "negative keeps the fallback";
-    EXPECT_EQ(tuning::parse_node_size("", 7), 7);
-}
-
-// ---------------------------------------------------------------------------
-// Layer 2: the measured tuning table
-// ---------------------------------------------------------------------------
-
-/// @brief Writes @c text to a temp file and returns its path.
-std::string write_table(char const* name, std::string const& text) {
-    std::string const path = ::testing::TempDir() + name;
-    std::FILE* file = std::fopen(path.c_str(), "w");
-    EXPECT_NE(file, nullptr);
-    std::fputs(text.c_str(), file);
-    std::fclose(file);
-    return path;
-}
-
-TEST_F(TuningSelect, TableCellsOverrideTheModelAndPreference) {
-    auto const path = write_table(
-        "table_override.json",
-        R"({"version": 1, "cells": [
-             {"op": "alltoall", "p": 8, "max_bytes": 1024, "algorithm": "pairwise"},
-             {"op": "allgather", "p": 0, "max_bytes": 0, "algorithm": "ring"},
-             {"op": "allgather", "p": 8, "max_bytes": 0, "algorithm": "recursive_doubling"}
-           ]})");
-    ASSERT_TRUE(tuning::load_tuning_table(path.c_str()));
-    ASSERT_TRUE(tuning::tuning_table_loaded());
-
-    // The cell overrides the static preference (which would say Bruck)...
-    auto const in_bucket = tuning::select(CollOp::alltoall, ctx_of(8, 512));
-    EXPECT_STREQ(in_bucket.algorithm, "pairwise");
-    EXPECT_TRUE(in_bucket.from_table);
-
-    // ... and the model layer (which would also say Bruck).
-    auto modeled = ctx_of(8, 512);
-    modeled.model_enabled = true;
-    modeled.alpha = 30e-6;
-    EXPECT_EQ(pick(CollOp::alltoall, modeled), "pairwise");
-
-    // Outside the cell's size bucket the table is silent.
-    auto const past_bucket = tuning::select(CollOp::alltoall, ctx_of(8, 2000));
-    EXPECT_STREQ(past_bucket.algorithm, "bruck");
-    EXPECT_FALSE(past_bucket.from_table);
-
-    // Exact-p cells beat wildcard (p == 0) cells; the wildcard covers the rest.
-    EXPECT_STREQ(tuning::table_algorithm(CollOp::allgather, 8, 64), "recursive_doubling");
-    EXPECT_STREQ(tuning::table_algorithm(CollOp::allgather, 16, 64), "ring");
-    EXPECT_EQ(tuning::table_algorithm(CollOp::alltoall, 4, 64), nullptr) << "no covering cell";
-
-    tuning::unload_tuning_table();
-    EXPECT_FALSE(tuning::tuning_table_loaded());
-    EXPECT_EQ(pick(CollOp::alltoall, ctx_of(8, 512)), "bruck");
-}
-
-TEST_F(TuningSelect, TableBucketResolutionPicksTheTightestCell) {
-    auto const path = write_table(
-        "table_buckets.json",
-        R"({"version": 1, "cells": [
-             {"op": "alltoall", "p": 8, "max_bytes": 0, "algorithm": "pairwise"},
-             {"op": "alltoall", "p": 8, "max_bytes": 1024, "algorithm": "bruck"}
-           ]})");
-    ASSERT_TRUE(tuning::load_tuning_table(path.c_str()));
-    EXPECT_STREQ(tuning::table_algorithm(CollOp::alltoall, 8, 512), "bruck")
-        << "the smallest covering max_bytes bucket wins";
-    EXPECT_STREQ(tuning::table_algorithm(CollOp::alltoall, 8, 4096), "pairwise")
-        << "max_bytes == 0 is the unbounded bucket";
-}
-
-TEST_F(TuningSelect, TableCellNamingAnInapplicableAlgorithmIsIgnored) {
-    // recursive_doubling requires a power-of-two p: a measured table must
-    // not be able to violate a hard correctness constraint.
-    auto const path = write_table(
-        "table_inapplicable.json",
-        R"({"version": 1, "cells": [
-             {"op": "allgather", "p": 6, "max_bytes": 0, "algorithm": "recursive_doubling"}
-           ]})");
-    ASSERT_TRUE(tuning::load_tuning_table(path.c_str()));
-    auto const selection = tuning::select(CollOp::allgather, ctx_of(6, 64));
-    EXPECT_STREQ(selection.algorithm, "ring");
-    EXPECT_FALSE(selection.from_table);
-}
-
-TEST_F(TuningSelect, MalformedTableWarnsAndFallsBackToTheModel) {
-    auto const path = write_table("table_malformed.json", "{\"version\": 1, \"cells\": [oops");
-    EXPECT_FALSE(tuning::load_tuning_table(path.c_str()));
-    EXPECT_FALSE(tuning::tuning_table_loaded());
-    EXPECT_FALSE(tuning::load_tuning_table("/nonexistent/tuning_table.json"));
-
-    // Selection is fully functional without a table.
-    EXPECT_EQ(pick(CollOp::alltoall, ctx_of(8, 64)), "bruck");
-
-    // Cells that do not parse into a known op are dropped, not fatal.
-    auto const partial = write_table(
-        "table_partial.json",
-        R"({"version": 1, "cells": [
-             {"op": "frobnicate", "p": 8, "max_bytes": 0, "algorithm": "bruck"},
-             {"op": "alltoall", "p": 8, "max_bytes": 0, "algorithm": "pairwise"}
-           ]})");
-    ASSERT_TRUE(tuning::load_tuning_table(partial.c_str()));
-    EXPECT_EQ(tuning::table_algorithm(CollOp::alltoall, 8, 64), std::string("pairwise"));
-}
-
-// ---------------------------------------------------------------------------
 // Layer 1: the force override
 // ---------------------------------------------------------------------------
 
@@ -301,56 +134,6 @@ TEST_F(TuningSelect, ForceWinsWhenApplicableAndFallsThroughOtherwise) {
     auto const inapplicable = tuning::select(CollOp::allgather, ctx_of(6, 64));
     EXPECT_STREQ(inapplicable.algorithm, "ring");
     EXPECT_FALSE(inapplicable.forced);
-
-    // The force also beats a loaded table.
-    auto const path = write_table(
-        "table_vs_force.json",
-        R"({"version": 1, "cells": [
-             {"op": "allgather", "p": 8, "max_bytes": 0, "algorithm": "recursive_doubling"}
-           ]})");
-    ASSERT_TRUE(tuning::load_tuning_table(path.c_str()));
-    tuning::coll().force_algorithm = "ring";
-    EXPECT_EQ(pick(CollOp::allgather, ctx_of(8, 64)), "ring");
-}
-
-// ---------------------------------------------------------------------------
-// Hierarchical collectives: functional correctness + tracing names
-// ---------------------------------------------------------------------------
-
-TEST_F(TuningSelect, HierarchicalCollectivesMatchFlatResults) {
-    // p = 10 with g = 4: nodes {0..3}, {4..7}, {8, 9} — a ragged last node,
-    // and a non-leader bcast root to exercise the leader substitution.
-    constexpr int kRanks = 10;
-    constexpr int kCount = 8;
-    tuning::coll().node_size = 4;
-    xmpi::profile::set_tracing_enabled(true);
-    World::run_ranked(kRanks, [&](int rank) {
-        (void)xmpi::profile::take_algorithm(); // drop stale notes
-
-        std::vector<int> sum(kCount, rank);
-        ASSERT_EQ(
-            XMPI_Allreduce(
-                XMPI_IN_PLACE, sum.data(), kCount, XMPI_INT, XMPI_SUM, XMPI_COMM_WORLD),
-            XMPI_SUCCESS);
-        for (int value: sum) {
-            EXPECT_EQ(value, kRanks * (kRanks - 1) / 2);
-        }
-        EXPECT_STREQ(xmpi::profile::take_algorithm(), "hier_recursive_doubling");
-
-        int payload = rank == 3 ? 42 : 0;
-        ASSERT_EQ(XMPI_Bcast(&payload, 1, XMPI_INT, 3, XMPI_COMM_WORLD), XMPI_SUCCESS);
-        EXPECT_EQ(payload, 42);
-        EXPECT_STREQ(xmpi::profile::take_algorithm(), "hier_binomial");
-
-        std::vector<int> gathered(kRanks, -1);
-        ASSERT_EQ(
-            XMPI_Allgather(&rank, 1, XMPI_INT, gathered.data(), 1, XMPI_INT, XMPI_COMM_WORLD),
-            XMPI_SUCCESS);
-        for (int i = 0; i < kRanks; ++i) {
-            EXPECT_EQ(gathered[i], i);
-        }
-        EXPECT_STREQ(xmpi::profile::take_algorithm(), "hier_ring");
-    });
 }
 
 TEST_F(TuningSelect, PersistentPlansCaptureTheAlgorithmAtInit) {
@@ -391,72 +174,6 @@ TEST_F(TuningSelect, PersistentPlansCaptureTheAlgorithmAtInit) {
         XMPI_Request_free(&request);
     });
     tuning::coll().force_algorithm = nullptr;
-}
-
-// ---------------------------------------------------------------------------
-// Fault tolerance: a hierarchy leader dies mid-allreduce
-// ---------------------------------------------------------------------------
-
-/// @brief One revoke+shrink recovery step, replacing *comm in place (the
-/// test_chaos.cpp recovery idiom).
-void revoke_and_shrink(XMPI_Comm* comm, bool* owned) {
-    int revoked = 0;
-    XMPI_Comm_is_revoked(*comm, &revoked);
-    if (revoked == 0) {
-        XMPI_Comm_revoke(*comm);
-    }
-    XMPI_Comm shrunk = XMPI_COMM_NULL;
-    ASSERT_EQ(XMPI_Comm_shrink(*comm, &shrunk), XMPI_SUCCESS);
-    if (*owned) {
-        XMPI_Comm_free(comm);
-    }
-    *comm = shrunk;
-    *owned = true;
-}
-
-TEST_F(TuningSelect, LeaderDeathMidHierarchicalAllreduceShrinksAndRetries) {
-    // p = 8 with g = 4: rank 4 leads node {4..7}. Killing it mid-allreduce
-    // strands its followers in the intra-node phase and its peer leader in
-    // the doubling phase — both must observe the failure, shrink, and
-    // complete on the 7-rank survivor communicator (where the grouping is
-    // {0..3}, {4..6} and the hierarchical path stays selected).
-    constexpr int kRanks = 8;
-    constexpr int kVictim = 4;
-    tuning::coll().node_size = 4;
-    (void)chaos::take_fired_log();
-    chaos::arm_next_world(chaos::FaultPlan(13).kill_at_call(kVictim, chaos::Call::allreduce, 2));
-    World::run_ranked(kRanks, [&](int) {
-        XMPI_Comm comm = XMPI_COMM_WORLD;
-        bool owned = false;
-        bool saw_error = false;
-        int err = XMPI_ERR_OTHER;
-        double const deadline = xmpi::wtime() + 60.0;
-        while (xmpi::wtime() < deadline) {
-            int value = 1;
-            int sum = 0;
-            err = XMPI_Allreduce(&value, &sum, 1, XMPI_INT, XMPI_SUM, comm);
-            if (err == XMPI_SUCCESS) {
-                int size = 0;
-                XMPI_Comm_size(comm, &size);
-                if (size == kRanks - 1) {
-                    EXPECT_EQ(sum, kRanks - 1);
-                    break;
-                }
-                continue;
-            }
-            saw_error = true;
-            revoke_and_shrink(&comm, &owned);
-        }
-        EXPECT_EQ(err, XMPI_SUCCESS) << "survivors must complete after shrink";
-        EXPECT_TRUE(saw_error) << "every survivor must observe the leader's death";
-        if (owned) {
-            XMPI_Comm_free(&comm);
-        }
-    });
-    auto const fired = chaos::take_fired_log();
-    ASSERT_EQ(fired.size(), 1u);
-    EXPECT_EQ(fired[0].victim, kVictim);
-    EXPECT_EQ(fired[0].call, chaos::Call::allreduce);
 }
 
 } // namespace
