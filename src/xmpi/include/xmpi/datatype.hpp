@@ -93,9 +93,9 @@ public:
     /// @brief True iff the packed representation equals the in-memory
     /// representation: the typemap bytes tile [0, size) without gaps or
     /// reordering and consecutive elements are densely strided
-    /// (packed_size(count) == extent() * count). Communication of such types
-    /// is a straight memcpy, which the transport exploits for its zero-copy
-    /// fast path.
+    /// (packed_size(count) == extent() * count). pack/unpack copy such types
+    /// with one memcpy; the transport reads this flag only to pick a
+    /// protocol that uses the user buffer as the packed form.
     [[nodiscard]] bool is_contiguous() const { return contiguous_; }
     /// @brief For homogeneous types: the builtin kind and element count.
     [[nodiscard]] BuiltinType element_kind() const { return typemap_.front().elem; }
@@ -117,7 +117,9 @@ public:
     /// @brief Number of payload bytes for @c count elements.
     [[nodiscard]] std::size_t packed_size(std::size_t count) const { return size_ * count; }
     /// @brief Serializes @c count elements starting at @c base into @c out
-    /// (which must hold packed_size(count) bytes).
+    /// (which must hold packed_size(count) bytes). One memcpy for a
+    /// contiguous type, a typemap walk otherwise; no call at all when there
+    /// are zero bytes, so null buffers are fine then.
     void pack(void const* base, std::size_t count, std::byte* out) const;
     /// @brief Deserializes @c count elements from @c in into @c base.
     void unpack(std::byte const* in, std::size_t count, void* base) const;

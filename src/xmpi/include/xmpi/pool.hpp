@@ -23,21 +23,6 @@ struct RankCounters;
 
 namespace xmpi::detail {
 
-/// @brief A pre-pinned payload reservation of one persistent send request
-/// (XMPI_Send_init). The request pins a buffer of the right size class at
-/// init time; every restart takes it out, sends it, and the *receiver's*
-/// release cycles it straight back into the slot — steady-state restarts
-/// therefore touch neither the heap nor the shared pool freelists.
-///
-/// Shared ownership (shared_ptr) because in-flight messages outlive the
-/// request that reserved the slot: a PooledBlock homing here may be parked
-/// in an unexpected-message queue long after Request_free.
-struct PayloadSlot {
-    std::mutex mutex;
-    std::vector<std::byte> buffer;
-    bool occupied = false; ///< a pinned buffer is parked in @c buffer
-};
-
 /// @brief Per-world pool of payload buffers, sharded per rank.
 ///
 /// Buffers are plain `std::vector<std::byte>`, so a payload that is never

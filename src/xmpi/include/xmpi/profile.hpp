@@ -106,8 +106,7 @@ inline constexpr std::size_t kCounterCacheLine = 64;
     X(coalesced_sends)         /* small sends appended to an open batch */               \
     X(ring_full_fallbacks)     /* locked bypass deliveries (ring full) */                \
     X(pool_hits)               /* payload buffers reused from the pool */                \
-    X(pool_misses)             /* payload buffers heap-allocated */                      \
-    X(reserved_payload_reuses) /* persistent-send slot buffers recycled */
+    X(pool_misses)             /* payload buffers heap-allocated */
 
 /// Consumer-side hot counters (bumped when this rank drains/claims).
 #define XMPI_CONSUMER_COUNTERS(X)                                                        \
@@ -127,7 +126,7 @@ inline constexpr std::size_t kCounterCacheLine = 64;
     X(rma_gets)                       /* gets initiated (excl. PROC_NULL no-ops) */      \
     X(rma_accumulates)                /* accumulates applied */                          \
     X(rma_atomics)                    /* fetch_and_op + compare_and_swap applied */      \
-    X(rma_bytes_zero_copied)          /* RMA bytes moved without staging */              \
+    X(rma_bytes_zero_copied)          /* put bytes drained without staging */            \
     X(rma_epoch_waits)                /* fences + blocking lock acquisitions */          \
     X(sched_steals_attempted)         /* remote steal probes issued */                   \
     X(sched_steals_succeeded)         /* probes that claimed a task */                   \

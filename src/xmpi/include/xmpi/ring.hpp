@@ -111,26 +111,11 @@ inline void spin_pause() {
 struct PooledBlock {
     PayloadPool* pool = nullptr;
     std::vector<std::byte> bytes;
-    /// Reservation slot of a persistent send this buffer is pinned to; the
-    /// release cycles the buffer back into the slot (not the pool) so the
-    /// next restart finds it waiting. Shared ownership keeps the slot alive
-    /// while messages referencing it are still parked in mailboxes.
-    std::shared_ptr<PayloadSlot> home;
 
-    PooledBlock(PayloadPool* pool, std::vector<std::byte> bytes,
-                std::shared_ptr<PayloadSlot> home = nullptr)
+    PooledBlock(PayloadPool* pool, std::vector<std::byte> bytes)
         : pool(pool),
-          bytes(std::move(bytes)),
-          home(std::move(home)) {}
+          bytes(std::move(bytes)) {}
     ~PooledBlock() {
-        if (home != nullptr) {
-            std::lock_guard lock(home->mutex);
-            if (!home->occupied) {
-                home->buffer = std::move(bytes);
-                home->occupied = true;
-                return;
-            }
-        }
         if (pool != nullptr) {
             pool->release(std::move(bytes));
         }

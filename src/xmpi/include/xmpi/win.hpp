@@ -30,11 +30,12 @@
 /// must not sit in a queue.
 ///
 /// Zero-copy: a put with a contiguous origin datatype queues a *reference*
-/// to the caller's buffer and the drain is a single memcpy into the target
-/// region (counted in rma_bytes_zero_copied); the caller's buffer must stay
-/// valid until the closing synchronization call, exactly as in MPI. Puts
+/// to the caller's buffer, and the drain unpacks straight from it into the
+/// target region (counted in rma_bytes_zero_copied); the caller's buffer must
+/// stay valid until the closing synchronization call, exactly as in MPI. Puts
 /// with non-contiguous origin layouts pack into a PayloadPool buffer at call
-/// time instead.
+/// time instead. A get drains as one local datatype copy (the collectives'
+/// self-copy). Whether a copy is a single memcpy is the datatype's decision.
 #pragma once
 
 #include <atomic>

@@ -138,10 +138,15 @@ tuning::SelectCtx make_select_ctx(Comm& comm, std::size_t block_bytes, bool comm
 void local_copy(
     void const* src, std::size_t scount, Datatype const& stype, void* dst, std::size_t rcount,
     Datatype const& rtype) {
+    std::size_t const bytes = std::min(stype.packed_size(scount), rtype.packed_size(rcount));
+    std::size_t const elements = rtype.size() == 0 ? 0 : bytes / rtype.size();
+    if (stype.is_contiguous()) {
+        // A contiguous source already is its packed form.
+        rtype.unpack(static_cast<std::byte const*>(src), elements, dst);
+        return;
+    }
     std::vector<std::byte> packed(stype.packed_size(scount));
     stype.pack(src, scount, packed.data());
-    std::size_t const elements =
-        rtype.size() == 0 ? 0 : std::min(packed.size(), rtype.packed_size(rcount)) / rtype.size();
     rtype.unpack(packed.data(), elements, dst);
 }
 

@@ -101,9 +101,10 @@ make_select_ctx(Comm& comm, std::size_t block_bytes, bool commutative = true);
 
 /// @name Shared buffer helpers (hoisted from the collective TUs)
 /// @{
-/// @brief Local datatype conversion: packs (src, scount, stype) and unpacks
-/// into (dst, up to rcount elements of rtype). The self-copy of rooted
-/// collectives.
+/// @brief Local datatype conversion: copies (src, scount, stype) into (dst,
+/// up to rcount elements of rtype). A contiguous source unpacks straight
+/// into dst; only a non-contiguous one is packed into a temporary first.
+/// The self-copy of rooted collectives and the drain of an RMA get.
 void local_copy(
     void const* src, std::size_t scount, Datatype const& stype, void* dst, std::size_t rcount,
     Datatype const& rtype);

@@ -189,6 +189,14 @@ Datatype* Datatype::contiguous_bytes(std::size_t count) {
 }
 
 void Datatype::pack(void const* base, std::size_t count, std::byte* out) const {
+    if (contiguous_) {
+        // The packed form IS the in-memory form. Zero-byte copies skip the
+        // call: barriers and empty messages pass nullptr buffers.
+        if (std::size_t const bytes = packed_size(count); bytes != 0) {
+            std::memcpy(out, base, bytes);
+        }
+        return;
+    }
     auto const* element = static_cast<std::byte const*>(base);
     for (std::size_t i = 0; i < count; ++i) {
         for (auto const& block: typemap_) {
@@ -201,6 +209,12 @@ void Datatype::pack(void const* base, std::size_t count, std::byte* out) const {
 }
 
 void Datatype::unpack(std::byte const* in, std::size_t count, void* base) const {
+    if (contiguous_) {
+        if (std::size_t const bytes = packed_size(count); bytes != 0) {
+            std::memcpy(base, in, bytes);
+        }
+        return;
+    }
     auto* element = static_cast<std::byte*>(base);
     for (std::size_t i = 0; i < count; ++i) {
         for (auto const& block: typemap_) {

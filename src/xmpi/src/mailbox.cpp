@@ -20,14 +20,13 @@ void Mailbox::complete_ticket_locked(
     std::size_t const capacity_bytes = ticket.type->packed_size(ticket.count);
     if (size > capacity_bytes) {
         ticket.status.error = XMPI_ERR_TRUNCATE;
-        // Deliver the truncated prefix, like common MPI implementations do.
-        std::size_t const whole_elements = capacity_bytes / ticket.type->size();
-        ticket.type->unpack(data, whole_elements, ticket.buffer);
-    } else {
-        std::size_t const elements =
-            ticket.type->size() == 0 ? 0 : size / ticket.type->size();
-        ticket.type->unpack(data, elements, ticket.buffer);
     }
+    // A truncated message still delivers its prefix, like common MPI
+    // implementations do; a zero-size datatype holds no element at all.
+    std::size_t const elements = ticket.type->size() == 0
+                                     ? 0
+                                     : std::min(size, capacity_bytes) / ticket.type->size();
+    ticket.type->unpack(data, elements, ticket.buffer);
     if (sync != nullptr) {
         sync->signal();
     }

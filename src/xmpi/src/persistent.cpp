@@ -2,7 +2,7 @@
 /// @brief Persistent and partitioned request implementations.
 ///
 /// A persistent request separates the *binding* of an operation (arguments,
-/// derived shape, payload reservation — paid once at init) from its
+/// derived shape, selected algorithm — paid once at init) from its
 /// *execution* (paid per XMPI_Start). Each start creates a fresh inner
 /// one-shot request carrying the completion semantics; completion makes the
 /// persistent request inactive again instead of consuming it.
@@ -15,7 +15,6 @@
 #include "coll.hpp"
 #include "coll_registry.hpp"
 #include "transport.hpp"
-#include "xmpi/pool.hpp"
 #include "xmpi/progress.hpp"
 #include "xmpi/tuning.hpp"
 
@@ -99,30 +98,12 @@ public:
           count_(count),
           type_(type),
           dest_(dest),
-          tag_(tag) {
-        // Pin a payload buffer for the packed eager path: restarts then
-        // bypass the pool (and the heap) entirely — the receiver's release
-        // cycles the buffer straight back into the slot. The small and
-        // rendezvous fast paths never allocate, so pinning would be waste.
-        std::size_t const bytes = type_->packed_size(count_);
-        auto const& knobs = tuning::transport();
-        bool const small = type_->is_contiguous() && bytes <= knobs.coalesce_max_bytes;
-        bool const rendezvous = type_->is_contiguous() && bytes >= knobs.rendezvous_threshold;
-        if (dest_ != PROC_NULL && bytes > 0 && bytes <= PayloadPool::kMaxClassBytes && !small
-            && !rendezvous) {
-            auto& world = comm_->world();
-            slot_ = std::make_shared<PayloadSlot>();
-            slot_->buffer =
-                world.payload_pool().acquire(bytes, world.counters(current_world_rank()));
-            slot_->occupied = true;
-        }
-    }
+          tag_(tag) {}
 
 protected:
     int do_start() override {
         if (int const err = transport_send(
-                *comm_, dest_, tag_, comm_->pt2pt_context(), buf_, count_, *type_, nullptr,
-                slot_);
+                *comm_, dest_, tag_, comm_->pt2pt_context(), buf_, count_, *type_);
             err != XMPI_SUCCESS) {
             return err;
         }
@@ -137,7 +118,6 @@ private:
     Datatype const* type_;
     int dest_;
     int tag_;
-    std::shared_ptr<PayloadSlot> slot_;
 };
 
 class PersistentRecvRequest final : public PersistentRequest {

@@ -18,8 +18,8 @@
 namespace xmpi::detail {
 
 /// @name Persistent point-to-point and collective factories. Each stores the
-/// argument pack (and any derived shape: counts, displacements, payload
-/// reservation) exactly once; every XMPI_Start replays the operation without
+/// argument pack (and any derived shape: counts, displacements, selected
+/// algorithm) exactly once; every XMPI_Start replays the operation without
 /// re-deriving anything.
 /// @{
 Request* make_persistent_send(

@@ -1,5 +1,6 @@
 #include "xmpi/profile.hpp"
 
+#include <charconv>
 #include <mutex>
 #include <utility>
 
@@ -71,6 +72,14 @@ thread_local char const* t_algorithm = "";
 /// Per-thread accumulated RMA epoch wait since the last take (seconds).
 thread_local double t_epoch_wait_s = 0.0;
 
+/// @brief Shortest decimal that reads back as the same double: a 250 ns span
+/// must not export as 0.000000.
+std::string json_double(double value) {
+    char buffer[32];
+    auto const result = std::to_chars(buffer, buffer + sizeof(buffer), value);
+    return std::string(buffer, result.ptr);
+}
+
 } // namespace
 
 bool tracing_enabled() {
@@ -119,14 +128,14 @@ std::string spans_json() {
         json += "\", \"algorithm\": \"";
         json += span.algorithm;
         json += "\", \"rank\": " + std::to_string(span.world_rank);
-        json += ", \"start_s\": " + std::to_string(span.start_s);
-        json += ", \"duration_s\": " + std::to_string(span.duration_s);
+        json += ", \"start_s\": " + json_double(span.start_s);
+        json += ", \"duration_s\": " + json_double(span.duration_s);
         json += ", \"bytes_in\": " + std::to_string(span.bytes_in);
         json += ", \"bytes_out\": " + std::to_string(span.bytes_out);
         json += ", \"count_exchange\": ";
         json += span.count_exchange ? "true" : "false";
-        json += ", \"queue_s\": " + std::to_string(span.queue_s);
-        json += ", \"epoch_wait_s\": " + std::to_string(span.epoch_wait_s);
+        json += ", \"queue_s\": " + json_double(span.queue_s);
+        json += ", \"epoch_wait_s\": " + json_double(span.epoch_wait_s);
         json += ", \"bytes_put\": " + std::to_string(span.bytes_put);
         json += ", \"bytes_got\": " + std::to_string(span.bytes_got);
         json += ", \"restarts\": " + std::to_string(span.restarts);

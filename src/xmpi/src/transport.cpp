@@ -178,8 +178,7 @@ int send_rendezvous(
 
 int transport_send(
     Comm& comm, int dest, int tag, int context, void const* buf, std::size_t count,
-    Datatype const& type, std::shared_ptr<SyncHandle> sync,
-    std::shared_ptr<PayloadSlot> const& reservation) {
+    Datatype const& type, std::shared_ptr<SyncHandle> sync) {
     if (dest == PROC_NULL) {
         return XMPI_SUCCESS;
     }
@@ -225,30 +224,13 @@ int transport_send(
 
     // Packed eager path: mid-size contiguous, non-contiguous datatypes, and
     // small synchronous-mode sends. One copy into a pooled payload, then a
-    // lock-free publish like everything else. Persistent sends carry a
-    // pre-pinned reservation whose buffer short-circuits the pool entirely.
+    // lock-free publish like everything else.
     auto& pool = world.payload_pool();
-    std::vector<std::byte> payload;
-    std::shared_ptr<PayloadSlot> home;
-    if (reservation != nullptr) {
-        std::lock_guard lock(reservation->mutex);
-        if (reservation->occupied && reservation->buffer.capacity() >= bytes) {
-            payload = std::move(reservation->buffer);
-            reservation->occupied = false;
-            home = reservation;
-        }
-    }
-    if (home != nullptr) {
-        payload.resize(bytes);
-        counters.reserved_payload_reuses.fetch_add(1, std::memory_order_relaxed);
-    } else {
-        payload = pool.acquire(bytes, counters);
-    }
     RingEntry entry;
     entry.kind = RingEntry::Kind::message;
     entry.env = env;
     entry.bytes = bytes;
-    entry.block = std::make_shared<PooledBlock>(&pool, std::move(payload), std::move(home));
+    entry.block = std::make_shared<PooledBlock>(&pool, pool.acquire(bytes, counters));
     type.pack(buf, count, entry.block->bytes.data());
     entry.sync = std::move(sync);
     if (ring.try_push(std::move(entry), 0)) {

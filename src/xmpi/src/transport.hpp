@@ -21,14 +21,10 @@ int check_peer(Comm const& comm, int peer_comm_rank_or_any);
 
 /// @brief Packs and delivers one message into the destination's mailbox.
 /// Charges the network model and the profiling byte counters. @c context
-/// selects the matching space (pt2pt or collective). @c reservation, when
-/// set, is the pre-pinned payload slot of a persistent send: the packed
-/// eager path takes its buffer instead of hitting the pool, and the
-/// receiver's release returns it there (see PayloadSlot).
+/// selects the matching space (pt2pt or collective).
 int transport_send(
     Comm& comm, int dest, int tag, int context, void const* buf, std::size_t count,
-    Datatype const& type, std::shared_ptr<SyncHandle> sync = nullptr,
-    std::shared_ptr<PayloadSlot> const& reservation = nullptr);
+    Datatype const& type, std::shared_ptr<SyncHandle> sync = nullptr);
 
 /// @brief Blocking receive; aborts with an error code if the communicator is
 /// revoked or a relevant peer fails while waiting.

@@ -9,6 +9,7 @@
 #include "xmpi/world.hpp"
 
 #include "coll.hpp"
+#include "coll_registry.hpp"
 #include "transport.hpp"
 
 namespace xmpi {
@@ -343,34 +344,21 @@ int Win::apply_pending(PendingOp& op, profile::RankCounters& counters) {
     std::size_t const bytes = op.target_type->packed_size(op.target_count);
     std::lock_guard apply_lock(apply_mutex_[static_cast<std::size_t>(op.target)]);
     if (op.kind == PendingOp::Kind::put) {
+        // A referenced contiguous origin already is the packed form.
+        op.target_type->unpack(
+            op.origin_read != nullptr ? static_cast<std::byte const*>(op.origin_read)
+                                      : op.staged.data(),
+            op.target_count, base);
         if (op.origin_read != nullptr) {
-            if (op.target_type->is_contiguous()) {
-                std::memcpy(base, op.origin_read, bytes);
-                counters.rma_bytes_zero_copied.fetch_add(bytes, std::memory_order_relaxed);
-            } else {
-                // Contiguous origin bytes are exactly the packed form.
-                op.target_type->unpack(
-                    static_cast<std::byte const*>(op.origin_read), op.target_count, base);
-            }
+            counters.rma_bytes_zero_copied.fetch_add(bytes, std::memory_order_relaxed);
         } else {
-            if (op.target_type->is_contiguous()) {
-                std::memcpy(base, op.staged.data(), bytes);
-            } else {
-                op.target_type->unpack(op.staged.data(), op.target_count, base);
-            }
             comm_->world().payload_pool().release(std::move(op.staged));
             op.staged = {};
         }
     } else {
-        if (op.target_type->is_contiguous() && op.origin_type->is_contiguous()) {
-            std::memcpy(op.origin_write, base, bytes);
-            counters.rma_bytes_zero_copied.fetch_add(bytes, std::memory_order_relaxed);
-        } else {
-            auto packed = comm_->world().payload_pool().acquire(bytes, counters);
-            op.target_type->pack(base, op.target_count, packed.data());
-            op.origin_type->unpack(packed.data(), op.origin_count, op.origin_write);
-            comm_->world().payload_pool().release(std::move(packed));
-        }
+        detail::local_copy(
+            base, op.target_count, *op.target_type, op.origin_write, op.origin_count,
+            *op.origin_type);
     }
     return XMPI_SUCCESS;
 }

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -121,14 +122,24 @@ TEST(Tracing, JsonDumpContainsSpanFields) {
         comm.allgatherv(send_buf(v));
     });
     kamping::tracing::disable();
+    // A sub-microsecond span must export its duration, not a rounded zero.
+    xmpi::profile::Span short_span;
+    short_span.op = "short_span";
+    short_span.duration_s = 2.5e-7;
+    xmpi::profile::record_span(short_span);
 
     std::string const json = xmpi::profile::spans_json();
     EXPECT_NE(json.find("\"op\": \"allgatherv\""), std::string::npos) << json;
     EXPECT_NE(json.find("\"count_exchange\": true"), std::string::npos) << json;
     EXPECT_NE(json.find("\"bytes_in\""), std::string::npos) << json;
     EXPECT_NE(json.find("\"algorithm\""), std::string::npos) << json;
+    std::size_t const short_at = json.find("\"op\": \"short_span\"");
+    ASSERT_NE(short_at, std::string::npos) << json;
+    std::string const key = "\"duration_s\": ";
+    std::size_t const value_at = json.find(key, short_at) + key.size();
+    EXPECT_EQ(std::strtod(json.c_str() + value_at, nullptr), 2.5e-7) << json;
     // The dump hook must not drain the log.
-    EXPECT_EQ(xmpi::profile::take_spans().size(), 2u);
+    EXPECT_EQ(xmpi::profile::take_spans().size(), 3u);
 }
 
 TEST(Tracing, EngineSpansCarryQueueWaitTime) {

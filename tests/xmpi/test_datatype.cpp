@@ -3,6 +3,7 @@
 /// the pack/unpack engine.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstring>
 #include <numeric>
@@ -193,6 +194,103 @@ TEST(Datatype, NestedConstructorComposition) {
     EXPECT_EQ(extracted, (std::array<int, 6>{0, 1, 2, 6, 7, 8}));
     XMPI_Type_free(&outer);
     XMPI_Type_free(&inner);
+}
+
+TEST(Datatype, ContiguousPackIsTheSourceBytes) {
+    // Odd byte count: the contiguous fast path copies the whole span, not a
+    // multiple of some word size.
+    constexpr std::size_t kBytes = 4097;
+    std::vector<std::byte> source(kBytes);
+    for (std::size_t i = 0; i < kBytes; ++i) {
+        source[i] = static_cast<std::byte>(i * 7 + 3);
+    }
+    ASSERT_TRUE(XMPI_BYTE->is_contiguous());
+    std::vector<std::byte> packed(XMPI_BYTE->packed_size(kBytes), std::byte{0xEE});
+    XMPI_BYTE->pack(source.data(), kBytes, packed.data());
+    EXPECT_EQ(packed, source);
+    std::vector<std::byte> unpacked(kBytes, std::byte{0xEE});
+    XMPI_BYTE->unpack(packed.data(), kBytes, unpacked.data());
+    EXPECT_EQ(unpacked, source);
+
+    auto* record = Datatype::contiguous_bytes(24);
+    ASSERT_TRUE(record->is_contiguous());
+    std::vector<std::byte> records(24 * 3);
+    for (std::size_t i = 0; i < records.size(); ++i) {
+        records[i] = static_cast<std::byte>(255 - i);
+    }
+    std::vector<std::byte> records_packed(record->packed_size(3));
+    record->pack(records.data(), 3, records_packed.data());
+    EXPECT_EQ(records_packed, records);
+    record->release();
+}
+
+/// @brief Packs two elements of @c type from @c source and unpacks them into
+/// a 0xEE-filled copy: the significant bytes must come back, every other
+/// byte must stay 0xEE.
+void expect_typemap_roundtrip(Datatype const& type, std::vector<std::byte> const& source) {
+    std::vector<std::byte> packed(type.packed_size(2));
+    type.pack(source.data(), 2, packed.data());
+    std::vector<std::byte> target(source.size(), std::byte{0xEE});
+    type.unpack(packed.data(), 2, target.data());
+    std::vector<bool> significant(source.size(), false);
+    for (std::ptrdiff_t element = 0; element < 2; ++element) {
+        for (auto const& block: type.typemap()) {
+            std::size_t const first =
+                static_cast<std::size_t>(element * type.extent() + block.offset);
+            for (std::size_t b = 0; b < block.count * xmpi::builtin_size(block.elem); ++b) {
+                significant[first + b] = true;
+            }
+        }
+    }
+    for (std::size_t i = 0; i < source.size(); ++i) {
+        EXPECT_EQ(target[i], significant[i] ? source[i] : std::byte{0xEE}) << "byte " << i;
+    }
+}
+
+TEST(Datatype, DenseLookingTypesStillWalkTheTypemap) {
+    std::vector<std::byte> source(64);
+    for (std::size_t i = 0; i < source.size(); ++i) {
+        source[i] = static_cast<std::byte>(i + 1);
+    }
+
+    // One int per 8-byte stride: extent > size.
+    auto* padded = Datatype::create_resized(*XMPI_INT, 0, 8);
+    EXPECT_FALSE(padded->is_contiguous());
+    expect_typemap_roundtrip(*padded, source);
+    padded->release();
+
+    // extent == size, but the lower bound is nonzero.
+    auto* shifted = Datatype::create_resized(*XMPI_INT, 4, 4);
+    EXPECT_FALSE(shifted->is_contiguous());
+    std::vector<std::byte> packed(shifted->packed_size(3));
+    shifted->pack(source.data(), 3, packed.data());
+    EXPECT_TRUE(std::equal(packed.begin(), packed.end(), source.begin()));
+    shifted->release();
+
+    // struct {int; double} laid out at offsets 0 and 8: a 4-byte gap.
+    int const blocklengths[] = {1, 1};
+    XMPI_Aint const displacements[] = {0, 8};
+    XMPI_Datatype const types[] = {XMPI_INT, XMPI_DOUBLE};
+    XMPI_Datatype gapped = nullptr;
+    ASSERT_EQ(
+        XMPI_Type_create_struct(2, blocklengths, displacements, types, &gapped), XMPI_SUCCESS);
+    EXPECT_FALSE(gapped->is_contiguous());
+    expect_typemap_roundtrip(*gapped, source);
+    XMPI_Type_free(&gapped);
+}
+
+TEST(Datatype, ZeroCountPackAndUnpackAreNoOps) {
+    auto* record = Datatype::contiguous_bytes(24);
+    XMPI_Datatype vector = nullptr;
+    ASSERT_EQ(XMPI_Type_vector(2, 1, 3, XMPI_INT, &vector), XMPI_SUCCESS);
+    for (Datatype const* type: {static_cast<Datatype const*>(XMPI_BYTE),
+                                static_cast<Datatype const*>(record),
+                                static_cast<Datatype const*>(vector)}) {
+        type->pack(nullptr, 0, nullptr);
+        type->unpack(nullptr, 0, nullptr);
+    }
+    XMPI_Type_free(&vector);
+    record->release();
 }
 
 } // namespace

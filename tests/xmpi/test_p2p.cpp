@@ -264,6 +264,29 @@ TEST(P2P, TruncationIsReported) {
     });
 }
 
+TEST(P2P, TruncationIntoAZeroSizeTypeIsReported) {
+    // A nonzero-size message received into a zero-size datatype must report
+    // truncation, not divide by the type size.
+    World::run(2, [] {
+        int rank = -1;
+        XMPI_Comm_rank(XMPI_COMM_WORLD, &rank);
+        if (rank == 0) {
+            int const value = 7;
+            ASSERT_EQ(XMPI_Send(&value, 1, XMPI_INT, 1, 0, XMPI_COMM_WORLD), XMPI_SUCCESS);
+        } else {
+            XMPI_Datatype empty = nullptr;
+            ASSERT_EQ(XMPI_Type_contiguous(0, XMPI_INT, &empty), XMPI_SUCCESS);
+            ASSERT_EQ(XMPI_Type_commit(&empty), XMPI_SUCCESS);
+            std::vector<int> data(4, -1);
+            EXPECT_EQ(
+                XMPI_Recv(data.data(), 4, empty, 0, 0, XMPI_COMM_WORLD, XMPI_STATUS_IGNORE),
+                XMPI_ERR_TRUNCATE);
+            EXPECT_EQ(data, (std::vector<int>(4, -1))) << "no element fits a zero-size type";
+            XMPI_Type_free(&empty);
+        }
+    });
+}
+
 TEST(P2P, ProcNullIsNoOp) {
     World::run(1, [] {
         int const value = 1;

@@ -1,7 +1,7 @@
 /// @file test_persistent.cpp
 /// @brief Persistent and partitioned communication: the inactive→started→
 /// complete lifecycle, restart correctness for point-to-point and
-/// collectives, payload-pool reservation reuse, and partitioned
+/// collectives, payload-pool recycling across restarts, and partitioned
 /// Pready/Parrived composition.
 #include <gtest/gtest.h>
 
@@ -114,10 +114,11 @@ TEST(Persistent, StartallLaunchesAWholeArray) {
     });
 }
 
-TEST(Persistent, SendReusesThePinnedPayloadReservation) {
+TEST(Persistent, SendRestartsRecyclePooledPayloads) {
     // 1024 ints = 4 KiB: above the coalesce ceiling, below rendezvous, so
-    // the packed-eager path runs — exactly where the init-time reservation
-    // short-circuits the payload-pool allocation on every restart.
+    // every restart takes the packed-eager path and draws its payload buffer
+    // from the payload pool. Once the first round's buffer is back in the
+    // pool, restarts must recycle it instead of allocating.
     constexpr int kCount = 1024;
     constexpr int kRounds = 4;
     World::run_ranked(2, [](int rank) {
@@ -128,33 +129,42 @@ TEST(Persistent, SendReusesThePinnedPayloadReservation) {
                 XMPI_Send_init(
                     payload.data(), kCount, XMPI_INT, 1, 0, XMPI_COMM_WORLD, &request),
                 XMPI_SUCCESS);
-            auto const before = xmpi::profile::my_snapshot().reserved_payload_reuses;
+            std::uint64_t misses_after_first = 0;
+            std::uint64_t hits_after_first = 0;
             for (int round = 0; round < kRounds; ++round) {
                 std::iota(payload.begin(), payload.end(), round);
                 ASSERT_EQ(XMPI_Start(&request), XMPI_SUCCESS);
                 ASSERT_EQ(XMPI_Wait(&request, XMPI_STATUS_IGNORE), XMPI_SUCCESS);
-                // Wait for the receiver's ack: the reservation buffer cycles
-                // back into the slot only once the payload is drained, so
-                // without the handshake later rounds would race the return
-                // and fall back to a fresh pool allocation.
+                // Wait for the receiver's ack: the payload buffer returns to
+                // the pool only once the receiver has drained it, so without
+                // the handshake a restart could race the return.
                 int ack = 0;
                 ASSERT_EQ(
                     XMPI_Recv(&ack, 1, XMPI_INT, 1, 99, XMPI_COMM_WORLD, XMPI_STATUS_IGNORE),
                     XMPI_SUCCESS);
+                if (round == 0) {
+                    auto const snapshot = xmpi::profile::my_snapshot();
+                    misses_after_first = snapshot.pool_misses;
+                    hits_after_first = snapshot.pool_hits;
+                }
             }
-            auto const after = xmpi::profile::my_snapshot().reserved_payload_reuses;
-            EXPECT_GE(after - before, static_cast<std::uint64_t>(kRounds));
+            auto const snapshot = xmpi::profile::my_snapshot();
+            EXPECT_EQ(snapshot.pool_misses, misses_after_first);
+            EXPECT_GE(
+                snapshot.pool_hits - hits_after_first,
+                static_cast<std::uint64_t>(kRounds - 1));
             XMPI_Request_free(&request);
         } else {
             std::vector<int> received(kCount);
+            std::vector<int> expected(kCount);
             for (int round = 0; round < kRounds; ++round) {
                 ASSERT_EQ(
                     XMPI_Recv(
                         received.data(), kCount, XMPI_INT, 0, 0, XMPI_COMM_WORLD,
                         XMPI_STATUS_IGNORE),
                     XMPI_SUCCESS);
-                EXPECT_EQ(received.front(), round);
-                EXPECT_EQ(received.back(), round + kCount - 1);
+                std::iota(expected.begin(), expected.end(), round);
+                EXPECT_EQ(received, expected) << "round " << round;
                 int const ack = round;
                 ASSERT_EQ(XMPI_Send(&ack, 1, XMPI_INT, 0, 99, XMPI_COMM_WORLD), XMPI_SUCCESS);
             }

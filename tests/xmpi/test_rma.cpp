@@ -12,10 +12,13 @@
 /// promises.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <numeric>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "xmpi/profile.hpp"
@@ -356,6 +359,87 @@ TEST(Rma, ErrorStringsCoverTheRmaCodesAndStayDense) {
         std::string(xmpi::error_string(XMPI_ERR_DISP)));
 }
 
+// Puts and gets between a contiguous and a strided layout, in every
+// direction: the drain must scatter/gather exactly the typemap's bytes and
+// leave every gap (and everything outside the op) untouched.
+TEST(Rma, DerivedTypePutAndGetKeepTheGaps) {
+    World::run(2, [] {
+        int rank = -1;
+        XMPI_Comm_rank(XMPI_COMM_WORLD, &rank);
+        int const peer = 1 - rank;
+        XMPI_Datatype strided = nullptr;
+        ASSERT_EQ(XMPI_Type_vector(3, 1, 2, XMPI_INT, &strided), XMPI_SUCCESS);
+        ASSERT_EQ(XMPI_Type_commit(&strided), XMPI_SUCCESS);
+
+        struct Layout {
+            XMPI_Datatype type;
+            int count;
+            std::array<int, 3> slots; ///< int slots the three elements occupy
+        };
+        Layout const dense{XMPI_INT, 3, {0, 1, 2}};
+        Layout const spread{strided, 1, {0, 2, 4}};
+        constexpr int kSlots = 8;
+        constexpr int kDisp = 1;
+        std::vector<int> window_mem(kSlots);
+        XMPI_Win win = make_int_win(window_mem);
+
+        for (bool const put: {true, false}) {
+            for (auto const& [origin_layout, target_layout]:
+                 {std::pair{dense, spread}, std::pair{spread, dense}, std::pair{spread, spread}}) {
+                SCOPED_TRACE(
+                    std::string(put ? "put" : "get") + " origin "
+                    + (origin_layout.count == 1 ? "strided" : "contiguous") + " target "
+                    + (target_layout.count == 1 ? "strided" : "contiguous"));
+                // Own window memory is rewritten only between epochs.
+                auto const window_value = [](int owner, int slot) { return owner * 1000 + slot; };
+                auto const origin_value = [](int owner, int slot) {
+                    return owner * 1000 + 100 + slot;
+                };
+                std::vector<int> origin(kSlots);
+                for (int slot = 0; slot < kSlots; ++slot) {
+                    window_mem[static_cast<std::size_t>(slot)] = window_value(rank, slot);
+                    origin[static_cast<std::size_t>(slot)] = origin_value(rank, slot);
+                }
+                std::vector<int> expected_window = window_mem;
+                std::vector<int> expected_origin = origin;
+
+                ASSERT_EQ(XMPI_Win_fence(0, win), XMPI_SUCCESS);
+                if (put) {
+                    ASSERT_EQ(
+                        XMPI_Put(
+                            origin.data(), origin_layout.count, origin_layout.type, peer, kDisp,
+                            target_layout.count, target_layout.type, win),
+                        XMPI_SUCCESS);
+                } else {
+                    ASSERT_EQ(
+                        XMPI_Get(
+                            origin.data(), origin_layout.count, origin_layout.type, peer, kDisp,
+                            target_layout.count, target_layout.type, win),
+                        XMPI_SUCCESS);
+                }
+                ASSERT_EQ(XMPI_Win_fence(0, win), XMPI_SUCCESS);
+
+                for (std::size_t k = 0; k < 3; ++k) {
+                    int const origin_slot = origin_layout.slots[k];
+                    int const target_slot = kDisp + target_layout.slots[k];
+                    if (put) {
+                        // The peer's put landed in this rank's window.
+                        expected_window[static_cast<std::size_t>(target_slot)] =
+                            origin_value(peer, origin_slot);
+                    } else {
+                        expected_origin[static_cast<std::size_t>(origin_slot)] =
+                            window_value(peer, target_slot);
+                    }
+                }
+                EXPECT_EQ(window_mem, expected_window);
+                EXPECT_EQ(origin, expected_origin);
+            }
+        }
+        ASSERT_EQ(XMPI_Win_free(&win), XMPI_SUCCESS);
+        XMPI_Type_free(&strided);
+    });
+}
+
 // ---------------------------------------------------------------------------
 // Profile counters
 // ---------------------------------------------------------------------------
@@ -391,7 +475,7 @@ TEST(Rma, CountersTrackOpsAndZeroCopy) {
         EXPECT_EQ(snapshot.rma_puts, 2u);
         EXPECT_EQ(snapshot.rma_gets, 1u);
         EXPECT_EQ(snapshot.rma_accumulates, 1u);
-        // Contiguous puts and gets move without staging; both fences count
+        // Contiguous-origin puts drain without staging; both fences count
         // as epoch waits.
         EXPECT_GE(snapshot.rma_bytes_zero_copied, 2 * 4 * sizeof(int));
         EXPECT_EQ(snapshot.rma_epoch_waits, 2u);
