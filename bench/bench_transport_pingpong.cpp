@@ -22,6 +22,10 @@
 ///     transport. Rate configs run best-of-3 in full mode: on an
 ///     oversubscribed host one badly-timed preemption can halve a run, and
 ///     the gate tests transport capability, not scheduler luck.
+/// The spun/yielded/parked columns split both ranks' blocking waits
+/// (wait_until returns) by the rung of the spin -> yield -> park ladder that
+/// saw the message arrive; a row whose waits mostly park pays a futex wake
+/// per message. Reported, not gated.
 /// Results are printed as a table and as JSON (also written to
 /// BENCH_transport_pingpong.json) for the experiment scripts.
 #include <cstdio>
@@ -48,10 +52,18 @@ struct Result {
     std::uint64_t coalesced_sends = 0;
     std::uint64_t ring_full_fallbacks = 0;
     std::uint64_t rendezvous_transfers = 0;
+    /// wait_until returns of both ranks, by the rung that saw readiness.
+    std::uint64_t waits_spun = 0;
+    std::uint64_t waits_yielded = 0;
+    std::uint64_t waits_parked = 0;
     /// The size takes the coalescing or the rendezvous path under the live
     /// transport knobs.
     bool fastpath_sized = false;
 
+    [[nodiscard]] double wait_fraction(std::uint64_t rung) const {
+        std::uint64_t const waits = waits_spun + waits_yielded + waits_parked;
+        return waits == 0 ? 0.0 : static_cast<double>(rung) / static_cast<double>(waits);
+    }
     [[nodiscard]] double allocs_per_send() const {
         return messages == 0
                    ? 0.0
@@ -130,6 +142,9 @@ Result run_pingpong(std::size_t bytes, int warmup, int rounds) {
                 mine.ring_full_fallbacks + theirs.ring_full_fallbacks;
             result.rendezvous_transfers =
                 mine.rendezvous_transfers + theirs.rendezvous_transfers;
+            result.waits_spun = mine.waits_spun + theirs.waits_spun;
+            result.waits_yielded = mine.waits_yielded + theirs.waits_yielded;
+            result.waits_parked = mine.waits_parked + theirs.waits_parked;
         }
     });
     return result;
@@ -211,7 +226,7 @@ RateResult run_message_rate(int pairs, std::size_t bytes, int messages_per_pair,
 }
 
 std::string to_json(Result const& result) {
-    char buffer[512];
+    char buffer[768];
     std::snprintf(
         buffer, sizeof(buffer),
         "    {\"bytes\": %zu, \"rounds\": %d, \"usec_per_msg\": %.4f, "
@@ -219,7 +234,8 @@ std::string to_json(Result const& result) {
         "\"bytes_zero_copied\": %llu, \"pool_hits\": %llu, \"pool_misses\": %llu, "
         "\"ring_enqueues\": %llu, \"coalesced_sends\": %llu, "
         "\"ring_full_fallbacks\": %llu, \"rendezvous_transfers\": %llu, "
-        "\"allocs_per_send\": %.6f, \"paths_consistent\": %s}",
+        "\"allocs_per_send\": %.6f, \"waits_spun\": %llu, \"waits_yielded\": %llu, "
+        "\"waits_parked\": %llu, \"paths_consistent\": %s}",
         result.bytes, result.rounds, result.usec_per_msg, result.mb_per_s,
         static_cast<unsigned long long>(result.messages),
         static_cast<unsigned long long>(result.fastpath_sends),
@@ -230,7 +246,10 @@ std::string to_json(Result const& result) {
         static_cast<unsigned long long>(result.coalesced_sends),
         static_cast<unsigned long long>(result.ring_full_fallbacks),
         static_cast<unsigned long long>(result.rendezvous_transfers),
-        result.allocs_per_send(), result.paths_consistent() ? "true" : "false");
+        result.allocs_per_send(), static_cast<unsigned long long>(result.waits_spun),
+        static_cast<unsigned long long>(result.waits_yielded),
+        static_cast<unsigned long long>(result.waits_parked),
+        result.paths_consistent() ? "true" : "false");
     return buffer;
 }
 
@@ -283,17 +302,20 @@ int main(int argc, char** argv) {
     };
 
     std::printf(
-        "%10s %10s %12s %12s %10s %10s %10s %12s\n", "bytes", "rounds", "usec/msg", "MB/s",
-        "fastpath", "pool_hit", "pool_miss", "allocs/send");
+        "%10s %10s %12s %12s %10s %10s %10s %12s %7s %7s %7s\n", "bytes", "rounds",
+        "usec/msg", "MB/s", "fastpath", "pool_hit", "pool_miss", "allocs/send", "spun",
+        "yielded", "parked");
     std::vector<Result> results;
     for (auto const& config: configs) {
         Result const result = run_pingpong(config.bytes, config.warmup, config.rounds);
         std::printf(
-            "%10zu %10d %12.4f %12.1f %10llu %10llu %10llu %12.6f%s\n", result.bytes,
-            result.rounds, result.usec_per_msg, result.mb_per_s,
+            "%10zu %10d %12.4f %12.1f %10llu %10llu %10llu %12.6f %7.3f %7.3f %7.3f%s\n",
+            result.bytes, result.rounds, result.usec_per_msg, result.mb_per_s,
             static_cast<unsigned long long>(result.fastpath_sends),
             static_cast<unsigned long long>(result.pool_hits),
             static_cast<unsigned long long>(result.pool_misses), result.allocs_per_send(),
+            result.wait_fraction(result.waits_spun), result.wait_fraction(result.waits_yielded),
+            result.wait_fraction(result.waits_parked),
             result.paths_consistent() ? "" : "  [COUNTER MISMATCH]");
         results.push_back(result);
     }

@@ -94,7 +94,10 @@ struct FtSync {
 /// the calling rank is derived from the thread-local rank context. Each
 /// communicator owns two context ids: one for point-to-point traffic and a
 /// disjoint one for the internal messages of collective operations, so user
-/// messages can never match collective-internal ones.
+/// messages can never match collective-internal ones. On the collective
+/// context a blocking collective's messages carry its kind's tag and a
+/// non-blocking or persistent one's a sequence tag drawn at initiation; a
+/// receive there watches every member for failure.
 class Comm {
 public:
     Comm(World* world, std::vector<int> members);
@@ -115,16 +118,12 @@ public:
 
     [[nodiscard]] int pt2pt_context() const { return pt2pt_context_; }
     [[nodiscard]] int collective_context() const { return collective_context_; }
-    /// @brief Context for non-blocking collectives; their messages are
-    /// disambiguated by a per-initiation sequence tag, so several may be in
-    /// flight concurrently (they must be initiated in the same order on all
-    /// ranks, as the MPI standard requires).
-    [[nodiscard]] int nbc_context() const { return nbc_context_; }
-    /// @brief Per-rank initiation counter: collectives are initiated in the
-    /// same order on all ranks (MPI rule), so the i-th non-blocking
-    /// collective gets the same tag everywhere.
-    [[nodiscard]] int next_nbc_sequence() {
-        auto& counter = nbc_sequence_[static_cast<std::size_t>(rank())];
+    /// @brief Per-rank initiation counter of non-blocking and persistent
+    /// collectives: they are initiated in the same order on all ranks (MPI
+    /// rule), so the i-th one gets the same value everywhere, and its
+    /// messages a tag of their own on the collective context.
+    [[nodiscard]] int next_collective_sequence() {
+        auto& counter = sequence_[static_cast<std::size_t>(rank())];
         return static_cast<int>(counter.fetch_add(1, std::memory_order_relaxed) % 0x3fffffff);
     }
 
@@ -200,8 +199,7 @@ private:
     std::unordered_map<int, int> world_to_comm_rank_;
     int pt2pt_context_;
     int collective_context_;
-    int nbc_context_;
-    std::unique_ptr<std::atomic<std::uint32_t>[]> nbc_sequence_;
+    std::unique_ptr<std::atomic<std::uint32_t>[]> sequence_;
     std::vector<GraphTopology> rank_topologies_;
     std::atomic<bool> has_topology_{false};
     std::atomic<bool> revoked_{false};

@@ -133,7 +133,10 @@ inline constexpr std::size_t kCounterCacheLine = 64;
     X(sched_tasks_executed)           /* tasks this rank ran to completion */            \
     X(sched_requeue_after_failure)    /* tasks re-queued off a dead owner */             \
     X(stale_epoch_drops)              /* messages dropped for a superseded epoch */      \
-    X(epoch_transitions)              /* membership transitions this rank produced */
+    X(epoch_transitions)              /* membership transitions this rank produced */    \
+    X(waits_spun)                     /* wait_until readies seen on the spin rung */     \
+    X(waits_yielded)                  /* ... on the yield rung */                        \
+    X(waits_parked)                   /* ... on the park rung (it may have slept) */
 
 #define XMPI_ALL_COUNTERS(X)                                                             \
     XMPI_SENDER_COUNTERS(X) XMPI_CONSUMER_COUNTERS(X) XMPI_COLD_COUNTERS(X)

@@ -12,8 +12,11 @@
 ///  - initiation enqueues a task; when the queue is full the task runs
 ///    inline on the initiating rank (backpressure, counted as
 ///    `engine_inline_fallbacks`),
-///  - `wait()` on a still-queued task claims and runs it on the calling
-///    rank's thread, so completion never depends on pool capacity,
+///  - `wait()` on a still-queued task runs it on the calling rank's thread,
+///    so completion never depends on pool capacity — in its turn: the
+///    rank's older queued tasks on the same communicator run first, since
+///    requests may be waited in any order but collectives match in
+///    initiation order on every rank,
 ///  - while its own task runs elsewhere, a rank waiting on it drains its
 ///    *own* queued tasks, oldest first (caller-driven progress). Only own
 ///    tasks are eligible: they are work the rank must complete anyway, and
@@ -32,7 +35,8 @@
 ///    communicator's members, so this check is wake-driven too. A thread
 ///    already executing a task starts no other (the outer task would then
 ///    wait on the inner one, whose peers may in turn wait on the outer),
-///  - `test()` only runs the polled task inline when the pool is saturated,
+///  - `test()` only runs the polled task inline (in its turn, as `wait()`
+///    does) when the pool is saturated,
 ///    so a freshly initiated operation keeps its asynchrony while a
 ///    test()-polling loop still guarantees progress,
 ///  - a finishing task notifies its initiating rank's eventcount, where

@@ -643,8 +643,11 @@ int XMPI_Bcast_init(
     void* buffer, int count, XMPI_Datatype datatype, int root, XMPI_Comm comm,
     XMPI_Request* request) {
     count_call(xmpi::profile::Call::bcast_init);
-    *request = xmpi::detail::make_persistent_bcast(
-        *comm, buffer, static_cast<std::size_t>(count), *datatype, root);
+    *request = xmpi::detail::make_persistent_coll(
+        "bcast_init",
+        xmpi::detail::bcast_call(
+            *comm, buffer, static_cast<std::size_t>(count), *datatype, root,
+            xmpi::detail::sequence_channel(*comm)));
     return XMPI_SUCCESS;
 }
 
@@ -652,8 +655,15 @@ int XMPI_Allreduce_init(
     void const* sendbuf, void* recvbuf, int count, XMPI_Datatype datatype, XMPI_Op op,
     XMPI_Comm comm, XMPI_Request* request) {
     count_call(xmpi::profile::Call::allreduce_init);
-    *request = xmpi::detail::make_persistent_allreduce(
-        *comm, sendbuf, recvbuf, static_cast<std::size_t>(count), *datatype, *op);
+    // The scratch is hoisted into the request, so restarts after the first
+    // run allocation-free.
+    auto scratch = std::make_shared<xmpi::detail::ReduceScratch>();
+    *request = xmpi::detail::make_persistent_coll(
+        "allreduce_init",
+        xmpi::detail::allreduce_call(
+            *comm, sendbuf, recvbuf, static_cast<std::size_t>(count), *datatype, *op,
+            xmpi::detail::sequence_channel(*comm), scratch.get()),
+        scratch);
     return XMPI_SUCCESS;
 }
 
@@ -661,15 +671,21 @@ int XMPI_Alltoall_init(
     void const* sendbuf, int sendcount, XMPI_Datatype sendtype, void* recvbuf, int recvcount,
     XMPI_Datatype recvtype, XMPI_Comm comm, XMPI_Request* request) {
     count_call(xmpi::profile::Call::alltoall_init);
-    *request = xmpi::detail::make_persistent_alltoall(
-        *comm, sendbuf, static_cast<std::size_t>(sendcount), *sendtype, recvbuf,
-        static_cast<std::size_t>(recvcount), *recvtype);
+    *request = xmpi::detail::make_persistent_coll(
+        "alltoall_init",
+        xmpi::detail::alltoall_call(
+            *comm, sendbuf, static_cast<std::size_t>(sendcount),
+            sendbuf == XMPI_IN_PLACE ? *recvtype : *sendtype, recvbuf,
+            static_cast<std::size_t>(recvcount), *recvtype,
+            xmpi::detail::sequence_channel(*comm)));
     return XMPI_SUCCESS;
 }
 
 int XMPI_Barrier_init(XMPI_Comm comm, XMPI_Request* request) {
     count_call(xmpi::profile::Call::barrier_init);
-    *request = xmpi::detail::make_persistent_barrier(*comm);
+    *request = xmpi::detail::make_persistent_coll(
+        "barrier_init",
+        xmpi::detail::barrier_call(*comm, xmpi::detail::sequence_channel(*comm)));
     return XMPI_SUCCESS;
 }
 
@@ -720,7 +736,7 @@ int XMPI_Parrived(XMPI_Request request, int partition, int* flag) {
 /// @{
 int XMPI_Barrier(XMPI_Comm comm) {
     count_call(xmpi::profile::Call::barrier);
-    return xmpi::detail::coll_barrier(*comm);
+    return xmpi::detail::run_coll(xmpi::detail::barrier_call(*comm));
 }
 
 int XMPI_Ibarrier(XMPI_Comm comm, XMPI_Request* request) {
@@ -731,77 +747,78 @@ int XMPI_Ibarrier(XMPI_Comm comm, XMPI_Request* request) {
 
 int XMPI_Bcast(void* buffer, int count_, XMPI_Datatype datatype, int root, XMPI_Comm comm) {
     count_call(xmpi::profile::Call::bcast);
-    return xmpi::detail::coll_bcast(
-        *comm, buffer, static_cast<std::size_t>(count_), *datatype, root);
+    return xmpi::detail::run_coll(xmpi::detail::bcast_call(
+        *comm, buffer, static_cast<std::size_t>(count_), *datatype, root));
 }
 
 int XMPI_Gather(
     void const* sendbuf, int sendcount, XMPI_Datatype sendtype, void* recvbuf, int recvcount,
     XMPI_Datatype recvtype, int root, XMPI_Comm comm) {
     count_call(xmpi::profile::Call::gather);
-    return xmpi::detail::coll_gather(
+    return xmpi::detail::run_coll(xmpi::detail::gather_call(
         *comm, sendbuf, static_cast<std::size_t>(sendcount),
         sendbuf == XMPI_IN_PLACE ? *recvtype : *sendtype, recvbuf,
-        static_cast<std::size_t>(recvcount), *recvtype, root);
+        static_cast<std::size_t>(recvcount), *recvtype, root));
 }
 
 int XMPI_Gatherv(
     void const* sendbuf, int sendcount, XMPI_Datatype sendtype, void* recvbuf,
     int const* recvcounts, int const* displs, XMPI_Datatype recvtype, int root, XMPI_Comm comm) {
     count_call(xmpi::profile::Call::gatherv);
-    return xmpi::detail::coll_gatherv(
+    return xmpi::detail::run_coll(xmpi::detail::gatherv_call(
         *comm, sendbuf, static_cast<std::size_t>(sendcount),
         sendbuf == XMPI_IN_PLACE ? *recvtype : *sendtype, recvbuf, recvcounts, displs, *recvtype,
-        root);
+        root));
 }
 
 int XMPI_Scatter(
     void const* sendbuf, int sendcount, XMPI_Datatype sendtype, void* recvbuf, int recvcount,
     XMPI_Datatype recvtype, int root, XMPI_Comm comm) {
     count_call(xmpi::profile::Call::scatter);
-    return xmpi::detail::coll_scatter(
+    return xmpi::detail::run_coll(xmpi::detail::scatter_call(
         *comm, sendbuf, static_cast<std::size_t>(sendcount), *sendtype, recvbuf,
         static_cast<std::size_t>(recvcount), recvbuf == XMPI_IN_PLACE ? *sendtype : *recvtype,
-        root);
+        root));
 }
 
 int XMPI_Scatterv(
     void const* sendbuf, int const* sendcounts, int const* displs, XMPI_Datatype sendtype,
     void* recvbuf, int recvcount, XMPI_Datatype recvtype, int root, XMPI_Comm comm) {
     count_call(xmpi::profile::Call::scatterv);
-    return xmpi::detail::coll_scatterv(
+    return xmpi::detail::run_coll(xmpi::detail::scatterv_call(
         *comm, sendbuf, sendcounts, displs, *sendtype, recvbuf,
         static_cast<std::size_t>(recvcount), recvbuf == XMPI_IN_PLACE ? *sendtype : *recvtype,
-        root);
+        root));
 }
 
 int XMPI_Allgather(
     void const* sendbuf, int sendcount, XMPI_Datatype sendtype, void* recvbuf, int recvcount,
     XMPI_Datatype recvtype, XMPI_Comm comm) {
     count_call(xmpi::profile::Call::allgather);
-    return xmpi::detail::coll_allgather(
+    return xmpi::detail::run_coll(xmpi::detail::allgather_call(
         *comm, sendbuf, static_cast<std::size_t>(sendcount),
         sendbuf == XMPI_IN_PLACE ? *recvtype : *sendtype, recvbuf,
-        static_cast<std::size_t>(recvcount), *recvtype);
+        static_cast<std::size_t>(recvcount), *recvtype));
 }
 
 int XMPI_Allgatherv(
     void const* sendbuf, int sendcount, XMPI_Datatype sendtype, void* recvbuf,
     int const* recvcounts, int const* displs, XMPI_Datatype recvtype, XMPI_Comm comm) {
     count_call(xmpi::profile::Call::allgatherv);
-    return xmpi::detail::coll_allgatherv(
+    return xmpi::detail::run_coll(xmpi::detail::allgatherv_call(
         *comm, sendbuf, static_cast<std::size_t>(sendcount),
-        sendbuf == XMPI_IN_PLACE ? *recvtype : *sendtype, recvbuf, recvcounts, displs, *recvtype);
+        sendbuf == XMPI_IN_PLACE ? *recvtype : *sendtype, recvbuf, recvcounts, displs,
+        *recvtype));
 }
 
 int XMPI_Alltoall(
     void const* sendbuf, int sendcount, XMPI_Datatype sendtype, void* recvbuf, int recvcount,
     XMPI_Datatype recvtype, XMPI_Comm comm) {
     count_call(xmpi::profile::Call::alltoall);
-    return xmpi::detail::coll_alltoall(
+    return xmpi::detail::run_coll(xmpi::detail::alltoall_call(
         *comm, sendbuf, static_cast<std::size_t>(sendcount),
         sendbuf == XMPI_IN_PLACE ? *recvtype : *sendtype, recvbuf,
-        static_cast<std::size_t>(recvcount), *recvtype);
+        static_cast<std::size_t>(recvcount), *recvtype));
 }
 
 int XMPI_Alltoallv(
@@ -809,9 +826,9 @@ int XMPI_Alltoallv(
     void* recvbuf, int const* recvcounts, int const* rdispls, XMPI_Datatype recvtype,
     XMPI_Comm comm) {
     count_call(xmpi::profile::Call::alltoallv);
-    return xmpi::detail::coll_alltoallv(
+    return xmpi::detail::run_coll(xmpi::detail::alltoallv_call(
         *comm, sendbuf, sendcounts, sdispls, sendbuf == XMPI_IN_PLACE ? *recvtype : *sendtype,
-        recvbuf, recvcounts, rdispls, *recvtype);
+        recvbuf, recvcounts, rdispls, *recvtype));
 }
 
 int XMPI_Alltoallw(
@@ -819,25 +836,21 @@ int XMPI_Alltoallw(
     XMPI_Datatype const* sendtypes, void* recvbuf, int const* recvcounts, int const* rdispls,
     XMPI_Datatype const* recvtypes, XMPI_Comm comm) {
     count_call(xmpi::profile::Call::alltoallw);
-    return xmpi::detail::coll_alltoallw(
+    return xmpi::detail::run_coll(xmpi::detail::alltoallw_call(
         *comm, sendbuf, sendcounts, sdispls,
         reinterpret_cast<xmpi::Datatype const* const*>(sendtypes), recvbuf, recvcounts, rdispls,
-        reinterpret_cast<xmpi::Datatype const* const*>(recvtypes));
+        reinterpret_cast<xmpi::Datatype const* const*>(recvtypes)));
 }
 
 int XMPI_Ibcast(
     void* buffer, int count_, XMPI_Datatype datatype, int root, XMPI_Comm comm,
     XMPI_Request* request) {
     count_call(xmpi::profile::Call::ibcast);
-    // The collective runs as a task on the shared progress engine, on a
-    // dedicated matching channel (nbc context + per-initiation sequence tag)
-    // and under the initiating rank's context, so matching and profiling
-    // attribute correctly no matter which thread executes it.
-    xmpi::detail::CollChannel const channel{comm->nbc_context(), comm->next_nbc_sequence()};
-    *request = xmpi::progress::detail::submit("ibcast", comm, [=] {
-        return xmpi::detail::coll_bcast_on(
-            *comm, channel, buffer, static_cast<std::size_t>(count_), *datatype, root);
-    });
+    *request = xmpi::detail::submit_coll(
+        "ibcast",
+        xmpi::detail::bcast_call(
+            *comm, buffer, static_cast<std::size_t>(count_), *datatype, root,
+            xmpi::detail::sequence_channel(*comm)));
     return XMPI_SUCCESS;
 }
 
@@ -845,11 +858,11 @@ int XMPI_Iallreduce(
     void const* sendbuf, void* recvbuf, int count_, XMPI_Datatype datatype, XMPI_Op op,
     XMPI_Comm comm, XMPI_Request* request) {
     count_call(xmpi::profile::Call::iallreduce);
-    xmpi::detail::CollChannel const channel{comm->nbc_context(), comm->next_nbc_sequence()};
-    *request = xmpi::progress::detail::submit("iallreduce", comm, [=] {
-        return xmpi::detail::coll_allreduce_on(
-            *comm, channel, sendbuf, recvbuf, static_cast<std::size_t>(count_), *datatype, *op);
-    });
+    *request = xmpi::detail::submit_coll(
+        "iallreduce",
+        xmpi::detail::allreduce_call(
+            *comm, sendbuf, recvbuf, static_cast<std::size_t>(count_), *datatype, *op,
+            xmpi::detail::sequence_channel(*comm)));
     return XMPI_SUCCESS;
 }
 
@@ -858,12 +871,11 @@ int XMPI_Ialltoallv(
     void* recvbuf, int const* recvcounts, int const* rdispls, XMPI_Datatype recvtype,
     XMPI_Comm comm, XMPI_Request* request) {
     count_call(xmpi::profile::Call::ialltoallv);
-    xmpi::detail::CollChannel const channel{comm->nbc_context(), comm->next_nbc_sequence()};
-    *request = xmpi::progress::detail::submit("ialltoallv", comm, [=] {
-        return xmpi::detail::coll_alltoallv_on(
-            *comm, channel, sendbuf, sendcounts, sdispls, *sendtype, recvbuf, recvcounts,
-            rdispls, *recvtype);
-    });
+    *request = xmpi::detail::submit_coll(
+        "ialltoallv",
+        xmpi::detail::alltoallv_call(
+            *comm, sendbuf, sendcounts, sdispls, *sendtype, recvbuf, recvcounts, rdispls,
+            *recvtype, xmpi::detail::sequence_channel(*comm)));
     return XMPI_SUCCESS;
 }
 
@@ -871,40 +883,40 @@ int XMPI_Reduce(
     void const* sendbuf, void* recvbuf, int count_, XMPI_Datatype datatype, XMPI_Op op, int root,
     XMPI_Comm comm) {
     count_call(xmpi::profile::Call::reduce);
-    return xmpi::detail::coll_reduce(
-        *comm, sendbuf, recvbuf, static_cast<std::size_t>(count_), *datatype, *op, root);
+    return xmpi::detail::run_coll(xmpi::detail::reduce_call(
+        *comm, sendbuf, recvbuf, static_cast<std::size_t>(count_), *datatype, *op, root));
 }
 
 int XMPI_Allreduce(
     void const* sendbuf, void* recvbuf, int count_, XMPI_Datatype datatype, XMPI_Op op,
     XMPI_Comm comm) {
     count_call(xmpi::profile::Call::allreduce);
-    return xmpi::detail::coll_allreduce(
-        *comm, sendbuf, recvbuf, static_cast<std::size_t>(count_), *datatype, *op);
+    return xmpi::detail::run_coll(xmpi::detail::allreduce_call(
+        *comm, sendbuf, recvbuf, static_cast<std::size_t>(count_), *datatype, *op));
 }
 
 int XMPI_Reduce_scatter_block(
     void const* sendbuf, void* recvbuf, int recvcount, XMPI_Datatype datatype, XMPI_Op op,
     XMPI_Comm comm) {
     count_call(xmpi::profile::Call::reduce_scatter_block);
-    return xmpi::detail::coll_reduce_scatter_block(
-        *comm, sendbuf, recvbuf, static_cast<std::size_t>(recvcount), *datatype, *op);
+    return xmpi::detail::run_coll(xmpi::detail::reduce_scatter_block_call(
+        *comm, sendbuf, recvbuf, static_cast<std::size_t>(recvcount), *datatype, *op));
 }
 
 int XMPI_Scan(
     void const* sendbuf, void* recvbuf, int count_, XMPI_Datatype datatype, XMPI_Op op,
     XMPI_Comm comm) {
     count_call(xmpi::profile::Call::scan);
-    return xmpi::detail::coll_scan(
-        *comm, sendbuf, recvbuf, static_cast<std::size_t>(count_), *datatype, *op, false);
+    return xmpi::detail::run_coll(xmpi::detail::scan_call(
+        *comm, sendbuf, recvbuf, static_cast<std::size_t>(count_), *datatype, *op, false));
 }
 
 int XMPI_Exscan(
     void const* sendbuf, void* recvbuf, int count_, XMPI_Datatype datatype, XMPI_Op op,
     XMPI_Comm comm) {
     count_call(xmpi::profile::Call::exscan);
-    return xmpi::detail::coll_scan(
-        *comm, sendbuf, recvbuf, static_cast<std::size_t>(count_), *datatype, *op, true);
+    return xmpi::detail::run_coll(xmpi::detail::scan_call(
+        *comm, sendbuf, recvbuf, static_cast<std::size_t>(count_), *datatype, *op, true));
 }
 /// @}
 
@@ -1102,9 +1114,9 @@ int XMPI_Neighbor_alltoall(
     for (std::size_t i = 0; i < rdispls.size(); ++i) {
         rdispls[i] = static_cast<int>(i) * recvcount;
     }
-    return xmpi::detail::coll_neighbor_alltoallv(
+    return xmpi::detail::run_coll(xmpi::detail::neighbor_alltoallv_call(
         *comm, sendbuf, sendcounts.data(), sdispls.data(), *sendtype, recvbuf, recvcounts.data(),
-        rdispls.data(), *recvtype);
+        rdispls.data(), *recvtype));
 }
 
 int XMPI_Neighbor_alltoallv(
@@ -1112,8 +1124,9 @@ int XMPI_Neighbor_alltoallv(
     void* recvbuf, int const* recvcounts, int const* rdispls, XMPI_Datatype recvtype,
     XMPI_Comm comm) {
     count_call(xmpi::profile::Call::neighbor_alltoallv);
-    return xmpi::detail::coll_neighbor_alltoallv(
-        *comm, sendbuf, sendcounts, sdispls, *sendtype, recvbuf, recvcounts, rdispls, *recvtype);
+    return xmpi::detail::run_coll(xmpi::detail::neighbor_alltoallv_call(
+        *comm, sendbuf, sendcounts, sdispls, *sendtype, recvbuf, recvcounts, rdispls,
+        *recvtype));
 }
 /// @}
 

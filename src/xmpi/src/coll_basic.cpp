@@ -17,13 +17,8 @@ int run_barrier_dissemination(CollCtx& ctx) {
     for (int k = 1; k < p; k <<= 1) {
         int const to = (r + k) % p;
         int const from = (r - k + p) % p;
-        if (int const err = transport_send(
-                comm, to, ctx.channel.tag, ctx.channel.context, nullptr, 0, byte_type);
-            err != XMPI_SUCCESS) {
-            return err;
-        }
-        if (int const err = transport_recv(
-                comm, from, ctx.channel.tag, ctx.channel.context, nullptr, 0, byte_type, nullptr);
+        if (int const err = coll_sendrecv(
+                comm, ctx.channel, to, nullptr, 0, byte_type, from, nullptr, 0, byte_type);
             err != XMPI_SUCCESS) {
             return err;
         }
@@ -46,9 +41,7 @@ int run_bcast_binomial(CollCtx& ctx) {
     while (mask < p) {
         if (vrank & mask) {
             int const parent = vrank - mask;
-            if (int const err = transport_recv(
-                    comm, real(parent), ctx.channel.tag, ctx.channel.context, buffer, count, type,
-                    nullptr);
+            if (int const err = coll_recv(comm, ctx.channel, real(parent), buffer, count, type);
                 err != XMPI_SUCCESS) {
                 return err;
             }
@@ -60,8 +53,7 @@ int run_bcast_binomial(CollCtx& ctx) {
     while (mask > 0) {
         if (vrank + mask < p) {
             int const child = vrank + mask;
-            if (int const err = transport_send(
-                    comm, real(child), ctx.channel.tag, ctx.channel.context, buffer, count, type);
+            if (int const err = coll_send(comm, ctx.channel, real(child), buffer, count, type);
                 err != XMPI_SUCCESS) {
                 return err;
             }
@@ -99,18 +91,8 @@ void register_basic_algos(std::vector<CollAlgo>& registry) {
          run_bcast_binomial});
 }
 
-int coll_barrier_on(Comm& comm, CollChannel channel) {
-    if (int const err = check_collective(comm); err != XMPI_SUCCESS) {
-        return err;
-    }
-    CollCtx ctx;
-    ctx.comm = &comm;
-    ctx.channel = channel;
-    return dispatch_coll(tuning::CollOp::barrier, make_select_ctx(comm, 0), ctx);
-}
-
-int coll_barrier(Comm& comm) {
-    return coll_barrier_on(comm, CollChannel{comm.collective_context(), coll_tag::barrier});
+CollCall barrier_call(Comm& comm, CollChannel channel) {
+    return {tuning::CollOp::barrier, {.comm = &comm, .channel = channel}, make_select_ctx(comm, 0)};
 }
 
 Request* coll_ibarrier(Comm& comm) {
@@ -147,26 +129,18 @@ Request* coll_ibarrier(Comm& comm) {
     return new IbarrierRequest(&comm, my_round);
 }
 
-int coll_bcast_on(
-    Comm& comm, CollChannel channel, void* buffer, std::size_t count, Datatype const& type,
-    int root) {
-    if (int const err = check_collective(comm); err != XMPI_SUCCESS) {
-        return err;
-    }
-    CollCtx ctx;
-    ctx.comm = &comm;
-    ctx.channel = channel;
-    ctx.recvbuf = buffer;
-    ctx.recvcount = count;
-    ctx.recvtype = &type;
-    ctx.root = root;
-    return dispatch_coll(tuning::CollOp::bcast, make_select_ctx(comm, type.packed_size(count)), ctx);
-}
-
-int coll_bcast(Comm& comm, void* buffer, std::size_t count, Datatype const& type, int root) {
-    return coll_bcast_on(
-        comm, CollChannel{comm.collective_context(), coll_tag::bcast}, buffer, count, type,
-        root);
+CollCall bcast_call(
+    Comm& comm, void* buffer, std::size_t count, Datatype const& type, int root,
+    CollChannel channel) {
+    return {
+        tuning::CollOp::bcast,
+        {.comm = &comm,
+         .channel = channel,
+         .recvbuf = buffer,
+         .recvcount = count,
+         .recvtype = &type,
+         .root = root},
+        make_select_ctx(comm, type.packed_size(count))};
 }
 
 } // namespace xmpi::detail

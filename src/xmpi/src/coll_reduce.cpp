@@ -34,8 +34,7 @@ int run_reduce_linear(CollCtx& ctx) {
     int const p = comm.size();
     int const r = comm.rank();
     if (r != root) {
-        return transport_send(
-            comm, root, channel.tag, channel.context, contribution, count, type);
+        return coll_send(comm, channel, root, contribution, count, type);
     }
     ElementBuffer accumulator(count, type);
     ElementBuffer incoming(count, type);
@@ -47,7 +46,7 @@ int run_reduce_linear(CollCtx& ctx) {
             std::memcpy(dst, contribution, count * static_cast<std::size_t>(type.extent()));
             return XMPI_SUCCESS;
         }
-        return transport_recv(comm, source, channel.tag, channel.context, dst, count, type, nullptr);
+        return coll_recv(comm, channel, source, dst, count, type);
     };
     if (int const err = load(0, accumulator.data()); err != XMPI_SUCCESS) {
         return err;
@@ -85,9 +84,8 @@ int run_reduce_binomial(CollCtx& ctx) {
     while (mask < p) {
         if (vrank & mask) {
             int const parent = vrank - mask;
-            if (int const err = transport_send(
-                    comm, real(parent), channel.tag, channel.context, accumulator.data(), count,
-                    type);
+            if (int const err =
+                    coll_send(comm, channel, real(parent), accumulator.data(), count, type);
                 err != XMPI_SUCCESS) {
                 return err;
             }
@@ -95,9 +93,8 @@ int run_reduce_binomial(CollCtx& ctx) {
         }
         int const child = vrank + mask;
         if (child < p) {
-            if (int const err = transport_recv(
-                    comm, real(child), channel.tag, channel.context, incoming.data(), count,
-                    type, nullptr);
+            if (int const err =
+                    coll_recv(comm, channel, real(child), incoming.data(), count, type);
                 err != XMPI_SUCCESS) {
                 return err;
             }
@@ -164,16 +161,13 @@ int run_allreduce_recursive_doubling(CollCtx& ctx) {
     int vrank;
     if (r < 2 * rem) {
         if (r % 2 == 0) {
-            if (int const err = transport_send(
-                    comm, r + 1, channel.tag, channel.context, acc, count, type);
+            if (int const err = coll_send(comm, channel, r + 1, acc, count, type);
                 err != XMPI_SUCCESS) {
                 return err;
             }
             vrank = -1; // sits out the doubling rounds, gets the result back
         } else {
-            if (int const err = transport_recv(
-                    comm, r - 1, channel.tag, channel.context, in, count, type,
-                    nullptr);
+            if (int const err = coll_recv(comm, channel, r - 1, in, count, type);
                 err != XMPI_SUCCESS) {
                 return err;
             }
@@ -188,15 +182,8 @@ int run_allreduce_recursive_doubling(CollCtx& ctx) {
         auto const real = [&](int vr) { return vr < rem ? 2 * vr + 1 : vr + rem; };
         for (int mask = 1; mask < pow2; mask <<= 1) {
             int const partner = real(vrank ^ mask);
-            // Eager sends complete locally, so send-then-recv cannot deadlock.
-            if (int const err = transport_send(
-                    comm, partner, channel.tag, channel.context, acc, count, type);
-                err != XMPI_SUCCESS) {
-                return err;
-            }
-            if (int const err = transport_recv(
-                    comm, partner, channel.tag, channel.context, in, count, type,
-                    nullptr);
+            if (int const err = coll_sendrecv(
+                    comm, channel, partner, acc, count, type, partner, in, count, type);
                 err != XMPI_SUCCESS) {
                 return err;
             }
@@ -206,13 +193,12 @@ int run_allreduce_recursive_doubling(CollCtx& ctx) {
 
     if (r < 2 * rem) {
         if (r % 2 == 0) {
-            return transport_recv(
-                comm, r + 1, channel.tag, channel.context, recvbuf, count, type, nullptr);
+            return coll_recv(comm, channel, r + 1, recvbuf, count, type);
         }
         if (!in_place) {
             std::memcpy(recvbuf, acc, bytes);
         }
-        return transport_send(comm, r - 1, channel.tag, channel.context, recvbuf, count, type);
+        return coll_send(comm, channel, r - 1, recvbuf, count, type);
     }
     if (!in_place) {
         std::memcpy(recvbuf, acc, bytes);
@@ -222,20 +208,21 @@ int run_allreduce_recursive_doubling(CollCtx& ctx) {
 
 /// @brief Non-commutative allreduce: fold in rank order at rank 0, then
 /// broadcast, so every rank observes the bit-identical rank-ordered result.
+///
+/// Both phases run on the caller's channel. Their messages cannot cross:
+/// the reduce sends only towards rank 0 (binomial: child to parent, a higher
+/// rank to a lower one; linear: straight to rank 0), the bcast only away
+/// from it (parent to child, a lower rank to a higher one), so no ordered
+/// pair of ranks carries messages of both phases.
 int run_allreduce_reduce_bcast(CollCtx& ctx) {
     Comm& comm = *ctx.comm;
-    CollChannel const channel = ctx.channel;
-    CollCtx reduce_ctx = ctx;
-    reduce_ctx.root = 0;
-    if (int const err = dispatch_coll(
-            tuning::CollOp::reduce,
-            make_select_ctx(
-                comm, ctx.sendtype->packed_size(ctx.sendcount), ctx.op->commutative()),
-            reduce_ctx);
+    if (int const err = run_coll(reduce_call(
+            comm, ctx.sendbuf, ctx.recvbuf, ctx.sendcount, *ctx.sendtype, *ctx.op, 0,
+            ctx.channel));
         err != XMPI_SUCCESS) {
         return err;
     }
-    return coll_bcast_on(comm, channel, ctx.recvbuf, ctx.sendcount, *ctx.sendtype, 0);
+    return run_coll(bcast_call(comm, ctx.recvbuf, ctx.sendcount, *ctx.sendtype, 0, ctx.channel));
 }
 
 /// @brief Recursive doubling (Hillis–Steele) scan, ceil(log2 p) rounds.
@@ -262,14 +249,14 @@ int run_scan_hillis_steele(CollCtx& ctx) {
     for (int k = 1; k < p; k <<= 1) {
         if (r + k < p) {
             if (int const err =
-                    coll_send(comm, r + k, coll_tag::scan, inclusive.data(), count, type);
+                    coll_send(comm, ctx.channel, r + k, inclusive.data(), count, type);
                 err != XMPI_SUCCESS) {
                 return err;
             }
         }
         if (r - k >= 0) {
             if (int const err =
-                    coll_recv(comm, r - k, coll_tag::scan, incoming.data(), count, type);
+                    coll_recv(comm, ctx.channel, r - k, incoming.data(), count, type);
                 err != XMPI_SUCCESS) {
                 return err;
             }
@@ -295,6 +282,13 @@ int run_scan_hillis_steele(CollCtx& ctx) {
 }
 
 /// @brief Reduce the full vector to rank 0, then scatter blocks.
+///
+/// Both phases run on the caller's channel. Their messages cannot cross:
+/// the reduce sends only towards rank 0 (binomial: a higher rank to a lower
+/// one; linear: straight to rank 0), the scatter only away from it
+/// (binomial: parent to child, a lower rank to a higher one; linear:
+/// straight from rank 0), so no ordered pair of ranks carries messages of
+/// both phases.
 int run_reduce_scatter_reduce_then_scatter(CollCtx& ctx) {
     Comm& comm = *ctx.comm;
     std::size_t const recvcount = ctx.recvcount;
@@ -303,12 +297,14 @@ int run_reduce_scatter_reduce_then_scatter(CollCtx& ctx) {
     int const r = comm.rank();
     std::size_t const total = recvcount * static_cast<std::size_t>(p);
     ElementBuffer reduced(r == 0 ? total : 0, type);
-    if (int const err = coll_reduce(
-            comm, ctx.sendbuf, r == 0 ? reduced.data() : nullptr, total, type, *ctx.op, 0);
+    if (int const err = run_coll(reduce_call(
+            comm, ctx.sendbuf, r == 0 ? reduced.data() : nullptr, total, type, *ctx.op, 0,
+            ctx.channel));
         err != XMPI_SUCCESS) {
         return err;
     }
-    return coll_scatter(comm, reduced.data(), recvcount, type, ctx.recvbuf, recvcount, type, 0);
+    return run_coll(scatter_call(
+        comm, reduced.data(), recvcount, type, ctx.recvbuf, recvcount, type, 0, ctx.channel));
 }
 
 [[nodiscard]] int log2_rounds(int p) {
@@ -367,102 +363,73 @@ void register_reduce_algos(std::vector<CollAlgo>& registry) {
          run_reduce_scatter_reduce_then_scatter});
 }
 
-int coll_reduce_on(
-    Comm& comm, CollChannel channel, void const* sendbuf, void* recvbuf, std::size_t count,
-    Datatype const& type, Op const& op, int root) {
-    if (int const err = check_collective(comm); err != XMPI_SUCCESS) {
-        return err;
-    }
-    CollCtx ctx;
-    ctx.comm = &comm;
-    ctx.channel = channel;
-    ctx.in_place = sendbuf == IN_PLACE;
-    ctx.sendbuf = ctx.in_place ? recvbuf : sendbuf;
-    ctx.recvbuf = recvbuf;
-    ctx.sendcount = count;
-    ctx.sendtype = &type;
-    ctx.op = &op;
-    ctx.root = root;
-    return dispatch_coll(
-        tuning::CollOp::reduce, make_select_ctx(comm, type.packed_size(count), op.commutative()),
-        ctx);
-}
-
-int coll_reduce(
+CollCall reduce_call(
     Comm& comm, void const* sendbuf, void* recvbuf, std::size_t count, Datatype const& type,
-    Op const& op, int root) {
-    return coll_reduce_on(
-        comm, CollChannel{comm.collective_context(), coll_tag::reduce}, sendbuf, recvbuf, count,
-        type, op, root);
+    Op const& op, int root, CollChannel channel) {
+    bool const in_place = sendbuf == IN_PLACE;
+    return {
+        tuning::CollOp::reduce,
+        {.comm = &comm,
+         .channel = channel,
+         .sendbuf = in_place ? recvbuf : sendbuf,
+         .recvbuf = recvbuf,
+         .sendcount = count,
+         .sendtype = &type,
+         .op = &op,
+         .root = root,
+         .in_place = in_place},
+        make_select_ctx(comm, type.packed_size(count), op.commutative())};
 }
 
-int coll_allreduce_on(
-    Comm& comm, CollChannel channel, void const* sendbuf, void* recvbuf, std::size_t count,
-    Datatype const& type, Op const& op, ReduceScratch* scratch) {
-    if (int const err = check_collective(comm); err != XMPI_SUCCESS) {
-        return err;
-    }
-    CollCtx ctx;
-    ctx.comm = &comm;
-    ctx.channel = channel;
-    ctx.in_place = sendbuf == IN_PLACE;
-    ctx.sendbuf = ctx.in_place ? recvbuf : sendbuf;
-    ctx.recvbuf = recvbuf;
-    ctx.sendcount = count;
-    ctx.sendtype = &type;
-    ctx.op = &op;
-    ctx.scratch = scratch;
-    return dispatch_coll(
+CollCall allreduce_call(
+    Comm& comm, void const* sendbuf, void* recvbuf, std::size_t count, Datatype const& type,
+    Op const& op, CollChannel channel, ReduceScratch* scratch) {
+    bool const in_place = sendbuf == IN_PLACE;
+    return {
         tuning::CollOp::allreduce,
-        make_select_ctx(comm, type.packed_size(count), op.commutative()), ctx);
+        {.comm = &comm,
+         .channel = channel,
+         .sendbuf = in_place ? recvbuf : sendbuf,
+         .recvbuf = recvbuf,
+         .sendcount = count,
+         .sendtype = &type,
+         .op = &op,
+         .in_place = in_place,
+         .scratch = scratch},
+        make_select_ctx(comm, type.packed_size(count), op.commutative())};
 }
 
-int coll_allreduce(
-    Comm& comm, void const* sendbuf, void* recvbuf, std::size_t count, Datatype const& type,
-    Op const& op) {
-    return coll_allreduce_on(
-        comm, CollChannel{comm.collective_context(), coll_tag::reduce}, sendbuf, recvbuf, count,
-        type, op);
-}
-
-int coll_reduce_scatter_block(
+CollCall reduce_scatter_block_call(
     Comm& comm, void const* sendbuf, void* recvbuf, std::size_t recvcount, Datatype const& type,
-    Op const& op) {
-    if (int const err = check_collective(comm); err != XMPI_SUCCESS) {
-        return err;
-    }
-    CollCtx ctx;
-    ctx.comm = &comm;
-    ctx.channel = CollChannel{comm.collective_context(), coll_tag::reduce_scatter};
-    ctx.sendbuf = sendbuf;
-    ctx.recvbuf = recvbuf;
-    ctx.recvcount = recvcount;
-    ctx.sendtype = &type;
-    ctx.op = &op;
-    return dispatch_coll(
+    Op const& op, CollChannel channel) {
+    return {
         tuning::CollOp::reduce_scatter,
-        make_select_ctx(comm, type.packed_size(recvcount), op.commutative()), ctx);
+        {.comm = &comm,
+         .channel = channel,
+         .sendbuf = sendbuf,
+         .recvbuf = recvbuf,
+         .recvcount = recvcount,
+         .sendtype = &type,
+         .op = &op},
+        make_select_ctx(comm, type.packed_size(recvcount), op.commutative())};
 }
 
-int coll_scan(
+CollCall scan_call(
     Comm& comm, void const* sendbuf, void* recvbuf, std::size_t count, Datatype const& type,
-    Op const& op, bool exclusive) {
-    if (int const err = check_collective(comm); err != XMPI_SUCCESS) {
-        return err;
-    }
-    CollCtx ctx;
-    ctx.comm = &comm;
-    ctx.channel = CollChannel{comm.collective_context(), coll_tag::scan};
-    ctx.in_place = sendbuf == IN_PLACE;
-    ctx.sendbuf = ctx.in_place ? recvbuf : sendbuf;
-    ctx.recvbuf = recvbuf;
-    ctx.sendcount = count;
-    ctx.sendtype = &type;
-    ctx.op = &op;
-    ctx.exclusive = exclusive;
-    return dispatch_coll(
-        tuning::CollOp::scan, make_select_ctx(comm, type.packed_size(count), op.commutative()),
-        ctx);
+    Op const& op, bool exclusive, CollChannel channel) {
+    bool const in_place = sendbuf == IN_PLACE;
+    return {
+        tuning::CollOp::scan,
+        {.comm = &comm,
+         .channel = channel,
+         .sendbuf = in_place ? recvbuf : sendbuf,
+         .recvbuf = recvbuf,
+         .sendcount = count,
+         .sendtype = &type,
+         .op = &op,
+         .in_place = in_place,
+         .exclusive = exclusive},
+        make_select_ctx(comm, type.packed_size(count), op.commutative())};
 }
 
 } // namespace xmpi::detail

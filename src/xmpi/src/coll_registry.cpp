@@ -1,14 +1,17 @@
 /// @file coll_registry.cpp
-/// @brief Registry storage, the selection dispatcher, and shared helpers.
+/// @brief Registry storage, the selection dispatcher, the blocking and
+/// non-blocking drivers, and shared helpers.
 #include "coll_registry.hpp"
 
 #include <algorithm>
 #include <cstring>
 #include <vector>
 
+#include "transport.hpp"
 #include "xmpi/comm.hpp"
 #include "xmpi/netmodel.hpp"
 #include "xmpi/profile.hpp"
+#include "xmpi/progress.hpp"
 #include "xmpi/world.hpp"
 
 namespace xmpi::detail {
@@ -115,12 +118,19 @@ int run_coll_algo(CollAlgo const& algo, CollCtx& ctx) {
     return err;
 }
 
-int dispatch_coll(tuning::CollOp op, tuning::SelectCtx const& sctx, CollCtx& ctx) {
-    CollAlgo const* const algo = select_coll_algo(op, sctx, nullptr);
+int run_coll(CollCall call) {
+    if (int const err = check_collective(*call.ctx.comm); err != XMPI_SUCCESS) {
+        return err;
+    }
+    CollAlgo const* const algo = select_coll_algo(call.op, call.sctx, nullptr);
     if (algo == nullptr) {
         return XMPI_ERR_ARG; // no registered algorithm for this op
     }
-    return run_coll_algo(*algo, ctx);
+    return run_coll_algo(*algo, call.ctx);
+}
+
+Request* submit_coll(char const* name, CollCall const& call) {
+    return progress::detail::submit(name, call.ctx.comm, [call] { return run_coll(call); });
 }
 
 tuning::SelectCtx make_select_ctx(Comm& comm, std::size_t block_bytes, bool commutative) {

@@ -31,34 +31,6 @@
 
 namespace xmpi::detail {
 
-/// @brief Uniform argument record for algorithm run() hooks, covering every
-/// collective shape. Entry points fill the fields their collective has;
-/// algorithms read only the fields their op defines.
-struct CollCtx {
-    Comm* comm = nullptr;
-    CollChannel channel{0, 0};
-    void const* sendbuf = nullptr; ///< IN_PLACE already resolved by the entry
-    void* recvbuf = nullptr;
-    std::size_t sendcount = 0;
-    std::size_t recvcount = 0;
-    Datatype const* sendtype = nullptr;
-    Datatype const* recvtype = nullptr;
-    Op const* op = nullptr;
-    int root = 0;
-    bool in_place = false;  ///< caller passed IN_PLACE (algorithms that must stage check this)
-    bool exclusive = false; ///< scan only (exscan semantics)
-    ReduceScratch* scratch = nullptr; ///< optional hoisted scratch (persistent allreduce)
-    /// @name v-variant arrays (alltoallv/w, neighbor)
-    /// @{
-    int const* sendcounts = nullptr;
-    int const* sdispls = nullptr;
-    int const* recvcounts = nullptr;
-    int const* rdispls = nullptr;
-    Datatype const* const* sendtypes = nullptr; ///< alltoallw only
-    Datatype const* const* recvtypes = nullptr; ///< alltoallw only
-    /// @}
-};
-
 /// @brief One registered collective algorithm.
 struct CollAlgo {
     tuning::CollOp op;
@@ -91,9 +63,6 @@ select_coll_algo(tuning::CollOp op, tuning::SelectCtx const& sctx, tuning::Selec
 /// reduce + scatter) leave the *outermost* name in the thread-local slot for
 /// the binding layer to take.
 int run_coll_algo(CollAlgo const& algo, CollCtx& ctx);
-
-/// @brief select + run in one step: the standard tail of every entry point.
-int dispatch_coll(tuning::CollOp op, tuning::SelectCtx const& sctx, CollCtx& ctx);
 
 /// @brief Builds a SelectCtx from the live communicator and block size.
 [[nodiscard]] tuning::SelectCtx

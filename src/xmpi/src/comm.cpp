@@ -75,15 +75,14 @@ Comm::Comm(World* world, std::vector<int> members)
       members_(std::move(members)),
       pt2pt_context_(world->allocate_context()),
       collective_context_(world->allocate_context()),
-      nbc_context_(world->allocate_context()),
       rank_topologies_(members_.size()) {
     world_to_comm_rank_.reserve(members_.size());
     for (std::size_t comm_rank = 0; comm_rank < members_.size(); ++comm_rank) {
         world_to_comm_rank_.emplace(members_[comm_rank], static_cast<int>(comm_rank));
     }
-    nbc_sequence_ = std::make_unique<std::atomic<std::uint32_t>[]>(members_.size());
+    sequence_ = std::make_unique<std::atomic<std::uint32_t>[]>(members_.size());
     for (std::size_t i = 0; i < members_.size(); ++i) {
-        nbc_sequence_[i].store(0, std::memory_order_relaxed);
+        sequence_[i].store(0, std::memory_order_relaxed);
     }
     ibarrier_.next_round_of_rank.assign(members_.size(), 0);
 }

@@ -27,10 +27,21 @@ Comm* with_member_refcounts(Comm* comm) {
     return comm;
 }
 
-/// @brief Leader (lowest comm rank of the members subset) creates the new
-/// communicator and distributes the pointer to the other members via p2p in
-/// the parent's collective context. @c member_parent_ranks must be identical
-/// on all participating ranks and sorted by new-comm rank order.
+/// @brief Channel of every message a communicator-creation call sends on
+/// its parent: all its phases (the allgather or barrier, then the handle
+/// distribution) run on it.
+///
+/// The phases cannot cross: each rank finishes the first phase before it
+/// sends or receives a handle, every message the first phase sends from one
+/// rank to another is received within that phase, and messages between a
+/// pair of ranks match in the order they were sent (non-overtaking), so a
+/// handle is never taken for a first-phase message or the reverse.
+constexpr CollChannel k_creation_channel{coll_tag::comm_create};
+
+/// @brief Leader (first rank in new-comm order) creates the new
+/// communicator and distributes the pointer to the other members on the
+/// creation channel. @c member_parent_ranks must be identical on all
+/// participating ranks and sorted by new-comm rank order.
 Comm* distribute_new_comm(
     Comm& parent, std::vector<int> const& member_parent_ranks,
     std::vector<int> world_members, Comm const* copy_topology_from = nullptr) {
@@ -47,13 +58,13 @@ Comm* distribute_new_comm(
         auto const handle = reinterpret_cast<std::uintptr_t>(newcomm);
         for (std::size_t i = 1; i < member_parent_ranks.size(); ++i) {
             coll_send(
-                parent, member_parent_ranks[i], coll_tag::comm_create, &handle, sizeof(handle),
+                parent, k_creation_channel, member_parent_ranks[i], &handle, sizeof(handle),
                 *byte_type);
         }
         return newcomm;
     }
     std::uintptr_t handle = 0;
-    coll_recv(parent, leader, coll_tag::comm_create, &handle, sizeof(handle), *byte_type);
+    coll_recv(parent, k_creation_channel, leader, &handle, sizeof(handle), *byte_type);
     return reinterpret_cast<Comm*>(handle);
 }
 
@@ -80,8 +91,8 @@ int comm_split(Comm& comm, int color, int key, Comm** newcomm) {
     std::vector<int> colors_keys(2 * static_cast<std::size_t>(p));
     int const mine[2] = {color, key};
     auto* int_type = predefined_type(BuiltinType::int_);
-    if (int const err = coll_allgather(
-            comm, mine, 2, *int_type, colors_keys.data(), 2, *int_type);
+    if (int const err = run_coll(allgather_call(
+            comm, mine, 2, *int_type, colors_keys.data(), 2, *int_type, k_creation_channel));
         err != XMPI_SUCCESS) {
         return err;
     }
@@ -116,7 +127,7 @@ int comm_create(Comm& comm, Group const& group, Comm** newcomm) {
         return err;
     }
     // Synchronise like a real implementation (context-id agreement).
-    if (int const err = coll_barrier(comm); err != XMPI_SUCCESS) {
+    if (int const err = run_coll(barrier_call(comm, k_creation_channel)); err != XMPI_SUCCESS) {
         return err;
     }
     int const my_world_rank = current_world_rank();
@@ -155,8 +166,8 @@ int dist_graph_create_adjacent(
     std::vector<int> degrees(2 * static_cast<std::size_t>(comm.size()));
     int const mine[2] = {indegree, outdegree};
     auto* int_type = predefined_type(BuiltinType::int_);
-    if (int const err =
-            coll_allgather(comm, mine, 2, *int_type, degrees.data(), 2, *int_type);
+    if (int const err = run_coll(allgather_call(
+            comm, mine, 2, *int_type, degrees.data(), 2, *int_type, k_creation_channel));
         err != XMPI_SUCCESS) {
         return err;
     }
@@ -174,7 +185,7 @@ int dist_graph_create_adjacent(
     *newcomm = distribute_new_comm(comm, parent_ranks, comm.members());
     (*newcomm)->set_rank_topology(comm.rank(), std::move(topology));
     // All ranks must have registered before any neighborhood collective runs.
-    return coll_barrier(**newcomm);
+    return run_coll(barrier_call(**newcomm));
 }
 
 } // namespace xmpi::detail

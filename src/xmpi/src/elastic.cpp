@@ -156,7 +156,6 @@ void World::perform_transition_locked(int producer) {
     fresh->set_epoch_gate(es.epoch);
     register_context_epoch(fresh->pt2pt_context(), es.epoch);
     register_context_epoch(fresh->collective_context(), es.epoch);
-    register_context_epoch(fresh->nbc_context(), es.epoch);
     // Admitted ranks may now publish to everyone: raise every live mailbox's
     // ring-scan bound to cover the new slots.
     for (int slot = 0; slot < es.next_slot; ++slot) {

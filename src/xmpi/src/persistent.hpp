@@ -11,30 +11,20 @@
 
 #include "xmpi/comm.hpp"
 #include "xmpi/datatype.hpp"
-#include "xmpi/op.hpp"
 #include "xmpi/request.hpp"
 #include "xmpi/world.hpp"
 
 namespace xmpi::detail {
 
-/// @name Persistent point-to-point and collective factories. Each stores the
-/// argument pack (and any derived shape: counts, displacements, selected
-/// algorithm) exactly once; every XMPI_Start replays the operation without
-/// re-deriving anything.
+/// @name Persistent point-to-point factories (the collective one,
+/// make_persistent_coll, is declared with the collective drivers in
+/// coll.hpp). Each stores the argument pack exactly once; every XMPI_Start
+/// replays the operation without re-deriving anything.
 /// @{
 Request* make_persistent_send(
     Comm& comm, void const* buf, std::size_t count, Datatype const& type, int dest, int tag);
 Request* make_persistent_recv(
     Comm& comm, void* buf, std::size_t count, Datatype const& type, int source, int tag);
-Request* make_persistent_bcast(
-    Comm& comm, void* buffer, std::size_t count, Datatype const& type, int root);
-Request* make_persistent_allreduce(
-    Comm& comm, void const* sendbuf, void* recvbuf, std::size_t count, Datatype const& type,
-    Op const& op);
-Request* make_persistent_alltoall(
-    Comm& comm, void const* sendbuf, std::size_t sendcount, Datatype const& sendtype,
-    void* recvbuf, std::size_t recvcount, Datatype const& recvtype);
-Request* make_persistent_barrier(Comm& comm);
 /// @}
 
 /// @brief Partitioned send (XMPI_Psend_init): the buffer is @c partitions

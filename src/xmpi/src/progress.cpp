@@ -246,9 +246,15 @@ private:
         return true;
     }
 
-    /// @brief Claims @c task iff it is still queued (wait()'s own-task steal
-    /// and test()'s saturation assist). Returns true iff it ran.
+    /// @brief While @c task is still queued, runs the oldest queued task of
+    /// its rank on its communicator: @c task itself, or an older one it must
+    /// not overtake (wait()'s own-task steal and test()'s saturation
+    /// assist). Collectives are ordered per communicator on every rank, so a
+    /// younger task run first could block on peers whose matching tasks
+    /// wait behind their ranks' older ones; tasks on other communicators
+    /// carry no such order. Returns true iff a task ran or was completed.
     bool help_task(TaskPtr const& task, bool only_if_saturated) {
+        TaskPtr claimed;
         {
             std::lock_guard lock(mutex_);
             if (only_if_saturated && idle_workers_ > 0) {
@@ -257,15 +263,23 @@ private:
             if (task->state.load(std::memory_order_relaxed) != Task::queued) {
                 return false;
             }
-            std::erase(queue_, task);
-            if (!claim_locked(task)) {
+            auto const oldest = std::find_if(queue_.begin(), queue_.end(), [&](TaskPtr const& t) {
+                return t->comm == task->comm && t->ctx.world == task->ctx.world
+                       && t->ctx.world_rank == task->ctx.world_rank;
+            });
+            if (oldest == queue_.end()) {
+                return false; // being failed by a sweep (fail_queued_if)
+            }
+            claimed = *oldest;
+            queue_.erase(oldest);
+            if (!claim_locked(claimed)) {
                 return true; // completed by the claim-time failure checks
             }
         }
         if (auto* counters = counters_of(xmpi::detail::current_context())) {
             counters->engine_caller_steals.fetch_add(1, std::memory_order_relaxed);
         }
-        run_task(task);
+        run_task(claimed);
         return true;
     }
 
@@ -290,11 +304,7 @@ private:
     }
 
     unsigned resolved_thread_count_locked() const {
-        if (config_.threads != 0) {
-            return config_.threads;
-        }
-        unsigned const hw = std::max(1u, std::thread::hardware_concurrency());
-        return std::max(1u, std::min(4u, hw - 1 == 0 ? 1u : hw - 1));
+        return config_.threads != 0 ? config_.threads : default_thread_count();
     }
 
     /// @brief Lazily starts the worker pool (called with mutex_ held).
@@ -451,8 +461,10 @@ Request* Engine::submit(
 }
 
 void Engine::wait(TaskPtr const& task) {
-    if (task->state.load(std::memory_order_acquire) == Task::queued) {
-        help_task(task, /*only_if_saturated=*/false);
+    // Requests may be waited in any order: run our task here in its turn on
+    // its communicator, after the older ones there.
+    while (task->state.load(std::memory_order_acquire) == Task::queued
+           && help_task(task, /*only_if_saturated=*/false)) {
     }
     // Our task runs elsewhere: drain our own queued tasks, oldest first
     // (their peers may be waiting on exactly these), then park. While

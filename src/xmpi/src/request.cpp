@@ -1,5 +1,6 @@
 #include "xmpi/request.hpp"
 
+#include "transport.hpp"
 #include "xmpi/comm.hpp"
 #include "xmpi/error.hpp"
 #include "xmpi/mailbox.hpp"
@@ -36,18 +37,9 @@ bool RecvRequest::test(Status& status) {
 }
 
 bool RecvRequest::check_failed(Status& status) {
-    Comm const& comm = *ticket_->comm;
-    // Collective-context receives relay for the whole membership, so any
-    // member's death aborts them (see transport_recv); exact-source pt2pt
-    // receives only care about their own peer.
-    bool const watch_all = ticket_->pattern.source == ANY_SOURCE
-                           || ticket_->pattern.context == comm.collective_context();
-    bool const aborted =
-        comm.revoked()
-        || (watch_all
-                ? comm.any_member_failed()
-                : comm.world().is_failed(comm.world_rank_of(ticket_->pattern.source)));
-    if (!aborted) {
+    int const err =
+        recv_abort_error(*ticket_->comm, ticket_->pattern.context, ticket_->pattern.source);
+    if (err == XMPI_SUCCESS) {
         return false;
     }
     if (!mailbox_->cancel(ticket_)) {
@@ -55,31 +47,21 @@ bool RecvRequest::check_failed(Status& status) {
         status = ticket_->status;
         return true;
     }
-    status = Status{
-        UNDEFINED, UNDEFINED, comm.revoked() ? XMPI_ERR_REVOKED : XMPI_ERR_PROC_FAILED, 0};
+    status = Status{UNDEFINED, UNDEFINED, err, 0};
     ticket_->status = status;
     ticket_->complete = true;
     return true;
 }
 
 void RecvRequest::wait(Status& status) {
-    auto const aborted = [&] {
-        Comm const& comm = *ticket_->comm;
-        if (comm.revoked()) {
-            return true;
-        }
-        if (ticket_->pattern.source == ANY_SOURCE) {
-            return comm.any_member_failed();
-        }
-        return comm.world().is_failed(comm.world_rank_of(ticket_->pattern.source));
+    auto const abort_error = [&] {
+        return recv_abort_error(*ticket_->comm, ticket_->pattern.context, ticket_->pattern.source);
     };
-    if (mailbox_->await(ticket_, aborted)) {
+    if (mailbox_->await(ticket_, [&] { return abort_error() != XMPI_SUCCESS; })) {
         status = ticket_->status;
         return;
     }
-    Comm const& comm = *ticket_->comm;
-    status = Status{
-        UNDEFINED, UNDEFINED, comm.revoked() ? XMPI_ERR_REVOKED : XMPI_ERR_PROC_FAILED, 0};
+    status = Status{UNDEFINED, UNDEFINED, abort_error(), 0};
 }
 
 bool RecvRequest::cancel() {

@@ -249,17 +249,6 @@ int transport_send(
 
 namespace {
 
-/// @brief Abort predicate for a waiting receive: stop if the communicator is
-/// revoked or the (potential) sender has failed.
-struct RecvAbort {
-    Comm const* comm;
-    int source;
-
-    bool operator()() const {
-        return check_peer(*comm, source) != XMPI_SUCCESS;
-    }
-};
-
 /// @brief Thread-local cache of RecvTicket control blocks. Every receive
 /// allocates one shared RecvTicket; recycling the (fixed-size) blocks keeps
 /// malloc off the receive path. Blocks may be freed by a different thread
@@ -348,17 +337,13 @@ int transport_recv(
     }
 
     auto ticket = make_ticket(comm, source, tag, context, buf, count, type);
-
-    // A collective-context receive is one hop of a relay (dissemination,
-    // tree): its completion depends transitively on every member, so ANY
-    // member's death must abort the wait. The direct source may well be
-    // alive and yet never send — it bailed out of the same collective on a
-    // failure this rank has not observed yet.
-    int const watch = (context == comm.collective_context()) ? ANY_SOURCE : source;
     Mailbox& mailbox = comm.world().mailbox(current_world_rank());
     if (!mailbox.post_or_match(ticket)) {
-        if (!mailbox.await(ticket, RecvAbort{&comm, watch})) {
-            return check_peer(comm, watch);
+        auto const aborted = [&] {
+            return recv_abort_error(comm, context, source) != XMPI_SUCCESS;
+        };
+        if (!mailbox.await(ticket, aborted)) {
+            return recv_abort_error(comm, context, source);
         }
     }
     if (status != nullptr) {
@@ -388,27 +373,32 @@ int transport_irecv(
     return XMPI_SUCCESS;
 }
 
+int recv_abort_error(Comm const& comm, int context, int source) {
+    return check_peer(comm, context == comm.collective_context() ? ANY_SOURCE : source);
+}
+
 int coll_send(
-    Comm& comm, int dest, int tag, void const* buf, std::size_t count, Datatype const& type) {
-    return transport_send(comm, dest, tag, comm.collective_context(), buf, count, type);
+    Comm& comm, CollChannel channel, int dest, void const* buf, std::size_t count,
+    Datatype const& type) {
+    return transport_send(comm, dest, channel.tag, comm.collective_context(), buf, count, type);
 }
 
 int coll_recv(
-    Comm& comm, int source, int tag, void* buf, std::size_t count, Datatype const& type,
-    Status* status) {
-    return transport_recv(comm, source, tag, comm.collective_context(), buf, count, type, status);
+    Comm& comm, CollChannel channel, int source, void* buf, std::size_t count,
+    Datatype const& type) {
+    return transport_recv(
+        comm, source, channel.tag, comm.collective_context(), buf, count, type, nullptr);
 }
 
 int coll_sendrecv(
-    Comm& comm, int dest, int send_tag, void const* sendbuf, std::size_t sendcount,
-    Datatype const& sendtype, int source, int recv_tag, void* recvbuf, std::size_t recvcount,
+    Comm& comm, CollChannel channel, int dest, void const* sendbuf, std::size_t sendcount,
+    Datatype const& sendtype, int source, void* recvbuf, std::size_t recvcount,
     Datatype const& recvtype) {
-    // Eager sends complete locally, so send-then-recv cannot deadlock.
-    if (int const err = coll_send(comm, dest, send_tag, sendbuf, sendcount, sendtype);
+    if (int const err = coll_send(comm, channel, dest, sendbuf, sendcount, sendtype);
         err != XMPI_SUCCESS) {
         return err;
     }
-    return coll_recv(comm, source, recv_tag, recvbuf, recvcount, recvtype);
+    return coll_recv(comm, channel, source, recvbuf, recvcount, recvtype);
 }
 
 int check_collective(Comm const& comm) {

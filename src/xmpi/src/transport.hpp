@@ -5,6 +5,7 @@
 
 #include <memory>
 
+#include "coll.hpp"
 #include "xmpi/comm.hpp"
 #include "xmpi/datatype.hpp"
 #include "xmpi/error.hpp"
@@ -39,18 +40,29 @@ int transport_irecv(
     Comm& comm, int source, int tag, int context, void* buf, std::size_t count,
     Datatype const& type, Request** request);
 
-/// @name Collective-context convenience wrappers (used by coll_*.cpp)
+/// @brief The failure-watch rule of every receive: XMPI_SUCCESS while a
+/// receive on (@c context, @c source) can still complete, else the error
+/// that aborts it. A collective-context receive is one hop of a relay
+/// (dissemination, tree, ring): its completion depends transitively on every
+/// member, so ANY member's death aborts it — the direct source may well be
+/// alive and yet never send, having bailed out of the same collective on a
+/// failure this rank has not observed yet. A point-to-point receive watches
+/// its source (every member when that is ANY_SOURCE).
+int recv_abort_error(Comm const& comm, int context, int source);
+
+/// @name Collective-context messaging on a call's channel (coll_*.cpp)
 /// @{
 int coll_send(
-    Comm& comm, int dest, int tag, void const* buf, std::size_t count, Datatype const& type);
+    Comm& comm, CollChannel channel, int dest, void const* buf, std::size_t count,
+    Datatype const& type);
 int coll_recv(
-    Comm& comm, int source, int tag, void* buf, std::size_t count, Datatype const& type,
-    Status* status = nullptr);
-/// @brief Simultaneous send+recv in the collective context (avoids deadlock
-/// in pairwise exchange rounds by posting the receive first).
+    Comm& comm, CollChannel channel, int source, void* buf, std::size_t count,
+    Datatype const& type);
+/// @brief Send to @c dest, then receive from @c source (eager sends complete
+/// locally, so pairwise exchange rounds cannot deadlock).
 int coll_sendrecv(
-    Comm& comm, int dest, int send_tag, void const* sendbuf, std::size_t sendcount,
-    Datatype const& sendtype, int source, int recv_tag, void* recvbuf, std::size_t recvcount,
+    Comm& comm, CollChannel channel, int dest, void const* sendbuf, std::size_t sendcount,
+    Datatype const& sendtype, int source, void* recvbuf, std::size_t recvcount,
     Datatype const& recvtype);
 /// @}
 

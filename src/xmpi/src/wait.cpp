@@ -21,16 +21,22 @@ bool wait_until(RankContext const& rank, ReadyRef ready, ReadyRef aborted, doubl
     }
     Mailbox& mailbox = rank.world->mailbox(rank.world_rank);
     Eventcount& events = rank.world->events(rank.world_rank);
+    auto& counters = rank.world->counters(rank.world_rank);
     auto const check = [&] {
         mailbox.poll();
         return ready();
+    };
+    // Each return on readiness counts the rung that saw it.
+    auto const ready_on = [](std::atomic<std::uint64_t>& rung) {
+        rung.fetch_add(1, std::memory_order_relaxed);
+        return true;
     };
 
     // In latency-bound patterns the event lands within microseconds, so a
     // short spin skips the park/wake round trip entirely.
     for (int i = tuning::spin_budget(); i > 0; --i) {
         if (check()) {
-            return true;
+            return ready_on(counters.waits_spun);
         }
         spin_pause();
     }
@@ -39,13 +45,13 @@ bool wait_until(RankContext const& rank, ReadyRef ready, ReadyRef aborted, doubl
     // microseconds.
     for (int i = tuning::yield_budget(); i > 0; --i) {
         if (check()) {
-            return true;
+            return ready_on(counters.waits_yielded);
         }
         std::this_thread::yield();
     }
     for (;;) {
         if (check()) {
-            return true;
+            return ready_on(counters.waits_parked);
         }
         if (aborted() || expired()) {
             return false;
@@ -65,7 +71,7 @@ bool wait_until(RankContext const& rank, ReadyRef ready, ReadyRef aborted, doubl
         // instead of parking on them.
         if (ready()) {
             events.cancel_wait();
-            return true;
+            return ready_on(counters.waits_parked);
         }
         if (aborted() || mailbox.has_undrained()) {
             events.cancel_wait();

@@ -406,7 +406,7 @@ int Win::fence() {
     auto& counters = counters_of(origin);
     counters.rma_epoch_waits.fetch_add(1, std::memory_order_relaxed);
     double const barrier_start = wtime();
-    int const barrier_err = detail::coll_barrier(*comm_);
+    int const barrier_err = detail::run_coll(detail::barrier_call(*comm_));
     profile::note_epoch_wait(wtime() - barrier_start);
     if (err == XMPI_SUCCESS) {
         err = barrier_err;
@@ -530,8 +530,8 @@ int win_create(void* base, std::size_t bytes, int disp_unit, Comm& comm, Win** w
         }
     }
     std::uintptr_t handle = reinterpret_cast<std::uintptr_t>(shared);
-    if (int const err = coll_bcast(
-            comm, &handle, sizeof(handle), *predefined_type(BuiltinType::byte_), 0);
+    if (int const err = run_coll(bcast_call(
+            comm, &handle, sizeof(handle), *predefined_type(BuiltinType::byte_), 0));
         err != XMPI_SUCCESS) {
         if (me == 0) {
             for (int member = 1; member < comm.size(); ++member) {
@@ -543,7 +543,7 @@ int win_create(void* base, std::size_t bytes, int disp_unit, Comm& comm, Win** w
     }
     shared = reinterpret_cast<Win*>(handle);
     shared->expose(me, base, bytes, disp_unit);
-    int const err = coll_barrier(comm);
+    int const err = run_coll(barrier_call(comm));
     *win = shared;
     return err;
 }
@@ -566,8 +566,8 @@ int win_allocate(std::size_t bytes, int disp_unit, Comm& comm, void** baseptr, W
         }
     }
     std::uintptr_t handle = reinterpret_cast<std::uintptr_t>(shared);
-    if (int const err = coll_bcast(
-            comm, &handle, sizeof(handle), *predefined_type(BuiltinType::byte_), 0);
+    if (int const err = run_coll(bcast_call(
+            comm, &handle, sizeof(handle), *predefined_type(BuiltinType::byte_), 0));
         err != XMPI_SUCCESS) {
         if (me == 0) {
             for (int member = 1; member < comm.size(); ++member) {
@@ -579,7 +579,7 @@ int win_allocate(std::size_t bytes, int disp_unit, Comm& comm, void** baseptr, W
     }
     shared = reinterpret_cast<Win*>(handle);
     void* base = shared->allocate_region(me, bytes, disp_unit);
-    int const err = coll_barrier(comm);
+    int const err = run_coll(barrier_call(comm));
     *baseptr = base;
     *win = shared;
     return err;
@@ -597,7 +597,7 @@ int win_free(Win& win) {
     // still drain ops into this window. With failed members the barrier
     // reports the failure; the reference is dropped regardless so surviving
     // ranks do not leak theirs.
-    int const err = coll_barrier(win.comm());
+    int const err = run_coll(barrier_call(win.comm()));
     win.release();
     return err;
 }

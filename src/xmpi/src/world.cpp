@@ -58,7 +58,6 @@ World::World(int size, NetworkModel model, int capacity)
         world_comm_->set_epoch_gate(0);
         register_context_epoch(world_comm_->pt2pt_context(), 0);
         register_context_epoch(world_comm_->collective_context(), 0);
-        register_context_epoch(world_comm_->nbc_context(), 0);
         world_comm_->retain();
         elastic_->current = world_comm_;
     }

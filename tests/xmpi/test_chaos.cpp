@@ -4,8 +4,10 @@
 /// ULFM recovery paths under scheduled failures.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <functional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "xmpi/xmpi.hpp"
@@ -13,6 +15,7 @@
 namespace {
 
 namespace chaos = xmpi::chaos;
+namespace progress = xmpi::progress;
 using xmpi::World;
 
 /// @brief Revokes @c comm unless already revoked. As in ULFM, a survivor
@@ -296,6 +299,85 @@ TEST(Chaos, MidRendezvousFailureDoesNotHangShrink) {
     auto const fired = chaos::take_fired_log();
     ASSERT_EQ(fired.size(), 1u);
     EXPECT_EQ(fired[0].victim, 2);
+}
+
+// ---------------------------------------------------------------------------
+// Non-blocking and persistent collectives under the failure-watch rule
+// (regression: they ran on a context that watched only the direct source, so
+// a survivor hung in a relay receive from a live peer that had bailed out)
+// ---------------------------------------------------------------------------
+
+/// @brief A p=4 recursive-doubling allreduce whose rank 3 dies at its first
+/// @c kill_call, 200 ms after the other ranks' rounds started on engine
+/// workers. Rank 2 (round 1 partner of rank 3) and rank 1 (round 2 partner)
+/// fail on their source; rank 0's round 2 receive is from rank 2, alive but
+/// gone. Each survivor must see XMPI_ERR_PROC_FAILED by itself: none
+/// revokes before the 10 s deadline, after which a stuck rank records the
+/// failure and revokes so the test fails instead of hanging.
+void expect_every_survivor_sees_the_death(
+    chaos::Call kill_call, void (*initiate)(int const* value, int* sum, XMPI_Request* request)) {
+    constexpr int kVictim = 3;
+    // More workers than initiating survivors: XMPI_Test never has to run a
+    // round inline, so a stuck round cannot block the polling loop.
+    progress::configure({.threads = 4});
+    (void)chaos::take_fired_log();
+    chaos::arm_next_world(chaos::FaultPlan(1).kill_at_call(kVictim, kill_call, 1));
+    World::run_ranked(4, [&](int rank) {
+        // The workers start lazily at the first engine task; until they are
+        // idle, XMPI_Test counts the pool as saturated and runs a round
+        // inline. A completed ibcast starts them.
+        int warm = 0;
+        XMPI_Request warmup = XMPI_REQUEST_NULL;
+        ASSERT_EQ(XMPI_Ibcast(&warm, 1, XMPI_INT, 0, XMPI_COMM_WORLD, &warmup), XMPI_SUCCESS);
+        ASSERT_EQ(XMPI_Wait(&warmup, XMPI_STATUS_IGNORE), XMPI_SUCCESS);
+        ASSERT_EQ(XMPI_Barrier(XMPI_COMM_WORLD), XMPI_SUCCESS);
+        if (rank == kVictim) {
+            std::this_thread::sleep_for(std::chrono::milliseconds(200));
+        }
+        int const value = 1;
+        int sum = 0;
+        XMPI_Request request = XMPI_REQUEST_NULL;
+        initiate(&value, &sum, &request); // the victim dies in here
+        int flag = 0;
+        int err = XMPI_SUCCESS;
+        double const deadline = xmpi::wtime() + 10.0;
+        while (flag == 0 && xmpi::wtime() < deadline) {
+            err = XMPI_Test(&request, &flag, XMPI_STATUS_IGNORE);
+        }
+        if (flag == 0) {
+            ADD_FAILURE() << "rank " << rank << " still waits after 10 s";
+            revoke_once(XMPI_COMM_WORLD);
+            err = XMPI_Wait(&request, XMPI_STATUS_IGNORE);
+        }
+        EXPECT_EQ(err, XMPI_ERR_PROC_FAILED) << "rank " << rank;
+        if (request != XMPI_REQUEST_NULL) {
+            XMPI_Request_free(&request);
+        }
+    });
+    progress::configure({});
+    auto const fired = chaos::take_fired_log();
+    ASSERT_EQ(fired.size(), 1u);
+    EXPECT_EQ(fired[0].victim, kVictim);
+}
+
+TEST(Chaos, IallreduceSurvivorsAllSeeAPeerDeathWithoutRevoking) {
+    expect_every_survivor_sees_the_death(
+        chaos::Call::iallreduce, [](int const* value, int* sum, XMPI_Request* request) {
+            ASSERT_EQ(
+                XMPI_Iallreduce(value, sum, 1, XMPI_INT, XMPI_SUM, XMPI_COMM_WORLD, request),
+                XMPI_SUCCESS);
+        });
+}
+
+TEST(Chaos, PersistentAllreduceSurvivorsAllSeeAPeerDeathWithoutRevoking) {
+    expect_every_survivor_sees_the_death(
+        chaos::Call::start, [](int const* value, int* sum, XMPI_Request* request) {
+            ASSERT_EQ(
+                XMPI_Allreduce_init(
+                    value, sum, 1, XMPI_INT, XMPI_SUM, XMPI_COMM_WORLD, request),
+                XMPI_SUCCESS);
+            ASSERT_EQ(XMPI_Start(request), XMPI_SUCCESS);
+        });
 }
 
 // ---------------------------------------------------------------------------

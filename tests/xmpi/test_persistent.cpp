@@ -217,28 +217,62 @@ TEST(Persistent, AllreduceRestartsRecomputeTheSum) {
 }
 
 TEST(Persistent, AlltoallRestartsExchangeFreshVectors) {
-    constexpr int kRanks = 3;
-    World::run_ranked(kRanks, [](int rank) {
-        std::vector<int> send(kRanks, 0);
-        std::vector<int> recv(kRanks, -1);
-        XMPI_Request request;
-        ASSERT_EQ(
-            XMPI_Alltoall_init(
-                send.data(), 1, XMPI_INT, recv.data(), 1, XMPI_INT, XMPI_COMM_WORLD,
-                &request),
-            XMPI_SUCCESS);
-        for (int round = 0; round < 3; ++round) {
-            for (int peer = 0; peer < kRanks; ++peer) {
-                send[peer] = rank * 100 + peer * 10 + round;
+    // p=3 runs the pairwise exchange; p=8 with 4 B blocks makes Bruck
+    // eligible (tuning::bruck_alltoall_min_ranks).
+    for (int const ranks: {3, 8}) {
+        World::run_ranked(ranks, [ranks](int rank) {
+            auto const fill = [&](std::vector<int>& out, int round) {
+                for (int peer = 0; peer < ranks; ++peer) {
+                    out[peer] = rank * 100 + peer * 10 + round;
+                }
+            };
+            auto const expect_round = [&](std::vector<int> const& got, int round) {
+                for (int peer = 0; peer < ranks; ++peer) {
+                    EXPECT_EQ(got[peer], peer * 100 + rank * 10 + round)
+                        << "p=" << ranks << " round " << round << " peer " << peer;
+                }
+            };
+            std::vector<int> send(ranks, 0);
+            std::vector<int> recv(ranks, -1);
+            XMPI_Request request;
+            ASSERT_EQ(
+                XMPI_Alltoall_init(
+                    send.data(), 1, XMPI_INT, recv.data(), 1, XMPI_INT, XMPI_COMM_WORLD,
+                    &request),
+                XMPI_SUCCESS);
+            for (int round = 0; round < 4; ++round) {
+                fill(send, round);
+                ASSERT_EQ(XMPI_Start(&request), XMPI_SUCCESS);
+                if (round == 3) {
+                    // Completed by polling: the round runs on the progress
+                    // engine instead of inline at wait.
+                    int flag = 0;
+                    while (flag == 0) {
+                        ASSERT_EQ(XMPI_Test(&request, &flag, XMPI_STATUS_IGNORE), XMPI_SUCCESS);
+                    }
+                } else {
+                    ASSERT_EQ(XMPI_Wait(&request, XMPI_STATUS_IGNORE), XMPI_SUCCESS);
+                }
+                expect_round(recv, round);
             }
-            ASSERT_EQ(XMPI_Start(&request), XMPI_SUCCESS);
-            ASSERT_EQ(XMPI_Wait(&request, XMPI_STATUS_IGNORE), XMPI_SUCCESS);
-            for (int peer = 0; peer < kRanks; ++peer) {
-                EXPECT_EQ(recv[peer], peer * 100 + rank * 10 + round);
+            ASSERT_EQ(XMPI_Request_free(&request), XMPI_SUCCESS);
+
+            // In place: every round reads and overwrites the receive buffer.
+            std::vector<int> inout(ranks, -1);
+            ASSERT_EQ(
+                XMPI_Alltoall_init(
+                    XMPI_IN_PLACE, 1, XMPI_INT, inout.data(), 1, XMPI_INT, XMPI_COMM_WORLD,
+                    &request),
+                XMPI_SUCCESS);
+            for (int round = 4; round < 6; ++round) {
+                fill(inout, round);
+                ASSERT_EQ(XMPI_Start(&request), XMPI_SUCCESS);
+                ASSERT_EQ(XMPI_Wait(&request, XMPI_STATUS_IGNORE), XMPI_SUCCESS);
+                expect_round(inout, round);
             }
-        }
-        ASSERT_EQ(XMPI_Request_free(&request), XMPI_SUCCESS);
-    });
+            ASSERT_EQ(XMPI_Request_free(&request), XMPI_SUCCESS);
+        });
+    }
 }
 
 TEST(Persistent, BarrierRestartsSynchronize) {

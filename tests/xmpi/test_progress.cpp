@@ -333,6 +333,66 @@ TEST_F(ProgressTest, ChaosKillLeavesQueuedTasksFailedNotRun) {
     });
 }
 
+// Blocking collectives (kind tags) and non-blocking ones (sequence tags
+// drawn at initiation) share one collective context. Two non-blocking
+// collectives in flight across three blocking ones of the same shapes and
+// roots must each match only their own messages: a cross-match shows up as
+// a wrong value.
+TEST_F(ProgressTest, NonBlockingAndBlockingCollectivesNeverCrossMatch) {
+    constexpr int kRanks = 4;
+    constexpr int kRoot = 1;
+    World::run_ranked(kRanks, [](int rank) {
+        for (int iteration = 0; iteration < 20; ++iteration) {
+            int const contribution = rank + 1 + iteration;
+            int isum = 0;
+            std::array<int, 3> ibcast_buf{};
+            if (rank == kRoot) {
+                ibcast_buf = {7, 8, iteration};
+            }
+            XMPI_Request iallreduce = XMPI_REQUEST_NULL;
+            XMPI_Request ibcast = XMPI_REQUEST_NULL;
+            ASSERT_EQ(
+                XMPI_Iallreduce(
+                    &contribution, &isum, 1, XMPI_INT, XMPI_SUM, XMPI_COMM_WORLD, &iallreduce),
+                XMPI_SUCCESS);
+            ASSERT_EQ(
+                XMPI_Ibcast(ibcast_buf.data(), 3, XMPI_INT, kRoot, XMPI_COMM_WORLD, &ibcast),
+                XMPI_SUCCESS);
+
+            int const doubled = 2 * contribution;
+            int sum = 0;
+            ASSERT_EQ(
+                XMPI_Allreduce(&doubled, &sum, 1, XMPI_INT, XMPI_SUM, XMPI_COMM_WORLD),
+                XMPI_SUCCESS);
+            EXPECT_EQ(sum, 2 * (kRanks * (kRanks + 1) / 2 + kRanks * iteration));
+            std::array<int, 3> bcast_buf{};
+            if (rank == kRoot) {
+                bcast_buf = {-1, -2, -iteration};
+            }
+            ASSERT_EQ(
+                XMPI_Bcast(bcast_buf.data(), 3, XMPI_INT, kRoot, XMPI_COMM_WORLD), XMPI_SUCCESS);
+            EXPECT_EQ(bcast_buf, (std::array<int, 3>{-1, -2, -iteration}));
+            std::vector<int> send(kRanks);
+            std::vector<int> recv(kRanks, -1);
+            for (int peer = 0; peer < kRanks; ++peer) {
+                send[peer] = 100 * rank + peer + 1000 * iteration;
+            }
+            ASSERT_EQ(
+                XMPI_Alltoall(
+                    send.data(), 1, XMPI_INT, recv.data(), 1, XMPI_INT, XMPI_COMM_WORLD),
+                XMPI_SUCCESS);
+            for (int peer = 0; peer < kRanks; ++peer) {
+                EXPECT_EQ(recv[peer], 100 * peer + rank + 1000 * iteration);
+            }
+
+            ASSERT_EQ(XMPI_Wait(&ibcast, XMPI_STATUS_IGNORE), XMPI_SUCCESS);
+            ASSERT_EQ(XMPI_Wait(&iallreduce, XMPI_STATUS_IGNORE), XMPI_SUCCESS);
+            EXPECT_EQ(isum, kRanks * (kRanks + 1) / 2 + kRanks * iteration);
+            EXPECT_EQ(ibcast_buf, (std::array<int, 3>{7, 8, iteration}));
+        }
+    });
+}
+
 // The old thread-per-request destructor silently join()ed an incomplete request —
 // a hidden blocking point. The engine diagnoses the misuse (counter +
 // stderr), then still does the safe thing: cancel a still-queued task
